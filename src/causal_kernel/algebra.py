@@ -133,6 +133,8 @@ class FactorSpec:
                     f"factor {index}: basis matrix {pos} is not hermitian"
                 )
         self.basis = mats
+        # the basis matrices followed by the identity, for batched lookups
+        self.basis_stack = _as_readonly(np.stack(mats + (np.eye(self.dim),)))
         if expected:
             gram = np.empty((expected, expected), dtype=complex)
             for i, bi in enumerate(mats):

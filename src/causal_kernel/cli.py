@@ -2,8 +2,9 @@
 
 Subcommands: eval, gram, gns, verify, demo-switch, demo-fuzz.  Output is
 deterministic for a fixed seed; JSON is emitted with sorted keys.  Exit
-codes: 0 success, 1 verification failure, 2 expression parse error, 3 model
-validation error, 4 dimension mismatch.  Diagnostics go to standard error;
+codes: 0 success, 1 verification failure, 2 expression parse error or
+command-line usage error, 3 model validation error, 4 dimension mismatch,
+5 Hilbert-space pipeline refusal.  Diagnostics go to standard error;
 the environment variable CAUSAL_KERNEL_LOG (DEBUG, INFO, WARNING) controls
 log verbosity.
 """
@@ -19,7 +20,7 @@ import sys
 from .algebra import AlgebraError
 from .demo import demo_fuzz_report, demo_switch_report
 from .expr import ExprError, eval_expr, parse
-from .gns import build_gns, report_obj
+from .gns import GnsError, build_gns, report_obj
 from .models import LoadedModel, ModelFormatError, load_model
 from .states import ModelValidationError, StateError
 from .verify import verify_state
@@ -31,6 +32,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_MODEL_ERROR = 3
 EXIT_DIMENSION_ERROR = 4
+EXIT_GNS_ERROR = 5
 
 
 def _dump_json(obj) -> str:
@@ -102,7 +104,7 @@ def _cmd_gns(args) -> int:
     obj = report_obj(result)
     if args.format == "pretty":
         for key in sorted(obj):
-            sys.stdout.write(f"{key}: {obj[key]}\n")
+            sys.stdout.write(f"{key}: {json.dumps(obj[key])}\n")
     else:
         sys.stdout.write(_dump_json(obj))
     return EXIT_OK
@@ -134,6 +136,16 @@ def _cmd_demo(report) -> int:
     return run
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causal-kernel",
@@ -146,40 +158,44 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized suites (default 42)")
     common.add_argument("--tol", type=float, default=None,
                         help="tolerance override where applicable")
-    common.add_argument("--max-len", type=int, default=3, dest="max_len",
-                        help="word-basis length cap (default 3)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel evaluation blocks (deterministic output)")
+    common.add_argument("--jobs", type=_int_at_least(1), default=1,
+                        help="accepted for compatibility; changes neither the "
+                             "computation nor the output")
+    # gns needs max-len >= 1, or its representation domain would be empty
+    any_len, gns_len = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    for holder, low in ((any_len, 0), (gns_len, 1)):
+        holder.add_argument("--max-len", type=_int_at_least(low), default=3,
+                            dest="max_len", help="word-basis length cap (default 3)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common],
+    p_eval = sub.add_parser("eval", parents=[common, any_len],
                             help="evaluate omega(b, a) for two expressions")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--b", required=True, help="first-slot expression")
     p_eval.add_argument("--a", required=True, help="second-slot expression")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_gram = sub.add_parser("gram", parents=[common],
+    p_gram = sub.add_parser("gram", parents=[common, any_len],
                             help="Gram matrix over the truncated word basis")
     p_gram.add_argument("--model", required=True)
     p_gram.set_defaults(func=_cmd_gram)
 
-    p_gns = sub.add_parser("gns", parents=[common],
+    p_gns = sub.add_parser("gns", parents=[common, gns_len],
                            help="run the Hilbert-space construction pipeline")
     p_gns.add_argument("--model", required=True)
     p_gns.set_defaults(func=_cmd_gns)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[common, any_len],
                               help="run the randomized verification suites")
     p_verify.add_argument("--model", required=True)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_ds = sub.add_parser("demo-switch", parents=[common],
+    p_ds = sub.add_parser("demo-switch", parents=[common, any_len],
                           help="control-superposition walkthrough")
     p_ds.set_defaults(func=_cmd_demo(demo_switch_report))
 
-    p_df = sub.add_parser("demo-fuzz", parents=[common],
+    p_df = sub.add_parser("demo-fuzz", parents=[common, any_len],
                           help="weighted-branch walkthrough")
     p_df.set_defaults(func=_cmd_demo(demo_fuzz_report))
 
@@ -208,6 +224,9 @@ def main(argv=None) -> int:
     except (AlgebraError, StateError) as exc:
         sys.stderr.write(f"dimension error: {exc}\n")
         return EXIT_DIMENSION_ERROR
+    except GnsError as exc:
+        sys.stderr.write(f"gns error: {exc}\n")
+        return EXIT_GNS_ERROR
 
 
 if __name__ == "__main__":

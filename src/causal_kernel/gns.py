@@ -14,7 +14,7 @@ from pi(a*), and nothing here assumes otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,36 +80,17 @@ def expected_basis_size(algebra: FreeAlgebra, max_len: int) -> int:
     return total
 
 
-_GRAM_BLOCK = 64
-
-
 def gram(state: GeneralizedState, basis: WordBasis, jobs: int = 1) -> np.ndarray:
-    """G[a][b] = omega(a*, b) over the word basis.
+    """G[a][b] = omega(a*, b) over the word basis, as ``R^dagger R``.
 
-    Computed through the state's cached forward vectors; equal to evaluating
-    eval_bilinear(star(a), b) entry by entry (the test suite cross-checks the
-    two routes).  Row blocks are independent and of fixed size, so the result
-    is identical for any worker count.
+    ``R`` holds the forward vectors of the basis words as columns, evaluated
+    in one batch; the result equals evaluating eval_bilinear(star(a), b)
+    entry by entry (the test suite cross-checks the two routes).  ``jobs``
+    is accepted for compatibility and changes neither the computation nor
+    the result: the Gram matrix is a single matrix product.
     """
-    cols = [np.asarray(state.forward_vector(w)) for w in basis.words]
-    r = np.stack(cols, axis=1)
-    n = r.shape[1]
-    out = np.empty((n, n), dtype=complex)
-    blocks = [(s, min(s + _GRAM_BLOCK, n)) for s in range(0, n, _GRAM_BLOCK)]
-
-    def fill(block):
-        s, e = block
-        out[s:e, :] = r[:, s:e].conj().T @ r
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            list(pool.map(fill, blocks))
-    else:
-        for block in blocks:
-            fill(block)
-    return out
+    r = state.forward_vectors(basis.words)
+    return r.conj().T @ r
 
 
 @dataclass(frozen=True)
@@ -205,21 +186,30 @@ def check_left_ideal(
         return LeftIdealReport(0.0, 0, 0, 0.0, 0)
     algebra = basis.algebra
     dom = _domain(basis)
-    r_dom = np.zeros((len(state.forward_vector(())), len(dom)), dtype=complex)
-    for col, i in enumerate(dom):
-        r_dom[:, col] = state.forward_vector(basis.words[i])
-    evals, evecs = np.linalg.eigh(r_dom.conj().T @ r_dom)
-    n_dom = evecs[:, evals < ns.cutoff]
-    word_elems = basis.elements()
-    max_restricted = 0.0
-    max_unrestricted = 0.0
     letters = list(algebra.generator_letters())
-    for letter in letters:
+    # every letter x basis-word product once, through the algebra (valid for
+    # any state); the distinct product words then go through one batched
+    # evaluation together with the domain words
+    word_elems = basis.elements()
+    columns: dict = {}
+    terms = []
+    for li, letter in enumerate(letters):
         b_el = algebra.word_element((letter,))
-        rho = np.zeros((r_dom.shape[0], len(word_elems)), dtype=complex)
         for j, w_el in enumerate(word_elems):
             for w, c in (b_el * w_el).items():
-                rho[:, j] += c * state.forward_vector(w)
+                terms.append((li, j, columns.setdefault(w, len(columns)), c))
+    dom_cols = [columns.setdefault(basis.words[i], len(columns)) for i in dom]
+    r = state.forward_vectors(list(columns))
+    r_dom = r[:, dom_cols]
+    evals, evecs = np.linalg.eigh(r_dom.conj().T @ r_dom)
+    n_dom = evecs[:, evals < ns.cutoff]
+    # rhos[b][:, j] = r(b w_j), the sum of c r(w) over the terms of b * w_j
+    li, j, col, c = (np.array(x) for x in zip(*terms))
+    rhos = np.zeros((len(letters), r.shape[0], len(basis)), dtype=complex)
+    np.add.at(rhos, (li, slice(None), j), c[:, None] * r.T[col])
+    max_restricted = 0.0
+    max_unrestricted = 0.0
+    for rho in rhos:
         max_restricted = max(max_restricted, _sq_spectral_norm(rho[:, dom] @ n_dom))
         max_unrestricted = max(
             max_unrestricted, _sq_spectral_norm(rho @ ns.null_vectors)
@@ -347,14 +337,29 @@ def build_gns(
     left_ideal_tol: float = LEFT_IDEAL_TOL,
     jobs: int = 1,
 ) -> GnsResult:
-    """Run the full pipeline; representation steps run only when permitted."""
+    """Run the full pipeline; representation steps run only when permitted.
+
+    Refuses up front when ``max_len`` leaves the representation domain empty
+    or when the left-ideal check's letter products (length ``max_len + 1``)
+    would exceed the algebra's word-length cap.
+    """
+    cap = state.algebra.max_word_len
+    if max_len < 1:
+        raise GnsError(
+            f"max_len {max_len} leaves the representation domain "
+            "(words of length <= max_len - 1) empty"
+        )
+    if max_len + 1 > cap:
+        raise GnsError(
+            f"max_len {max_len} needs letter products of length {max_len + 1}, "
+            f"above the algebra's word-length cap {cap}"
+        )
     basis = WordBasis.build(state.algebra, max_len)
     g = gram(state, basis, jobs=jobs)
     ns = null_space(g, tol=null_tol)
     report = check_left_ideal(state, basis, ns)
     coords = _quotient_coords(ns, g)
     letter_reps = None
-    recon = None
     if report.passed(left_ideal_tol):
         letter_reps = {
             letter: represent(
@@ -374,17 +379,8 @@ def build_gns(
         reconstruction_error=None,
     )
     if letter_reps is not None:
-        recon = reconstruct_check(state, basis, result)
-        result = GnsResult(
-            basis=result.basis,
-            gram=result.gram,
-            eigenvalues=result.eigenvalues,
-            null_rank=result.null_rank,
-            quotient_basis=result.quotient_basis,
-            omega_vector=result.omega_vector,
-            letter_reps=result.letter_reps,
-            left_ideal=result.left_ideal,
-            reconstruction_error=recon,
+        result = replace(
+            result, reconstruction_error=reconstruct_check(state, basis, result)
         )
     return result
 

@@ -9,6 +9,11 @@ its reversal, and the bilinear extension carries coefficients without
 conjugation: all conjugation enters through an explicit star on the first
 argument.  Orthonormal-basis sums in the defining amplitude formulas are
 resolved exactly as resolutions of the identity, never sampled.
+
+``r(w)`` is multilinear in the slot groups (the comb or process-matrix form
+of the model), so each family is one contraction of stacked slot groups
+that broadcasts over a leading batch axis: a whole word list is evaluated
+in one pass, and a single word is the batch of one.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     AlgebraMismatchError,
@@ -69,6 +73,41 @@ def _check_state_vector(name: str, psi: np.ndarray, dim: int) -> np.ndarray:
     return psi
 
 
+def slot_groups(
+    algebra: FreeAlgebra,
+    words: Sequence[CanonicalWord],
+    slots: Sequence[int],
+) -> list[np.ndarray]:
+    """Per-slot letter products of every word, one ``(n, d, d)`` stack per slot.
+
+    Entry ``j`` of slot ``i``'s stack is the product of word ``j``'s letters
+    from that slot, in order of appearance, or the slot's identity when the
+    word has none.  Each slot's stack is built one within-slot letter
+    position at a time, with one batched matmul against the slot's stacked
+    basis (shorter words are padded with the identity).
+    """
+    stray = {f for word in words for f, _ in word}.difference(slots)
+    if stray:
+        raise UnregisteredSlotError(
+            f"letter from factor {min(stray)} does not belong to slots {tuple(slots)}"
+        )
+    per_slot = [[[k for g, k in word if g == f] for word in words] for f in slots]
+    stacks = []
+    for f, lists in zip(slots, per_slot):
+        spec = algebra.factor(f)
+        # pad with the identity, which sits after the basis in basis_stack
+        pad = len(spec.basis)
+        depth = max(1, max(map(len, lists), default=0))
+        mats = spec.basis_stack[
+            np.array([ks + [pad] * (depth - len(ks)) for ks in lists], dtype=np.intp)
+        ]
+        stack = mats[:, 0]
+        for r in range(1, depth):
+            stack = stack @ mats[:, r]
+        stacks.append(stack)
+    return stacks
+
+
 def group_by_factor(
     algebra: FreeAlgebra,
     word: CanonicalWord,
@@ -78,24 +117,15 @@ def group_by_factor(
 
     Slots with no letters yield the slot's identity.
     """
-    positions = {f: i for i, f in enumerate(slots)}
-    out = [np.array(algebra.factor(f).identity) for f in slots]
-    for f, k in word:
-        try:
-            i = positions[f]
-        except KeyError:
-            raise UnregisteredSlotError(
-                f"letter from factor {f} does not belong to slots {tuple(slots)}"
-            ) from None
-        out[i] = out[i] @ algebra.factor(f).basis[k]
-    return out
+    return [g[0] for g in slot_groups(algebra, [word], slots)]
 
 
 class GeneralizedState:
     """Base bilinear evaluator over canonical words.
 
-    Subclasses provide ``_forward(word)``; grouping and forward vectors are
-    cached per canonical word, and instances are immutable after
+    A subclass either defines ``_contract`` over stacked slot groups (the
+    built-in families) or defines a per-word ``_forward``.  Forward vectors
+    are cached per canonical word, and instances are immutable after
     construction, so concurrent reads are safe and deterministic.
     """
 
@@ -104,18 +134,14 @@ class GeneralizedState:
     def __init__(self, algebra: FreeAlgebra, slots: Sequence[int]):
         self.algebra = algebra
         self.slots = tuple(slots)
-        self._group_cache: dict[CanonicalWord, list[np.ndarray]] = {}
         self._forward_cache: dict[CanonicalWord, np.ndarray] = {}
 
-    def groups(self, word: CanonicalWord) -> list[np.ndarray]:
-        hit = self._group_cache.get(word)
-        if hit is None:
-            hit = group_by_factor(self.algebra, word, self.slots)
-            self._group_cache[word] = hit
-        return hit
+    def _contract(self, *groups: np.ndarray) -> np.ndarray:
+        """Forward vectors ``(n, D)`` from one ``(n, d, d)`` group stack per slot."""
+        raise NotImplementedError
 
     def _forward(self, word: CanonicalWord) -> np.ndarray:
-        raise NotImplementedError
+        return self._contract(*slot_groups(self.algebra, [word], self.slots))[0]
 
     def forward_vector(self, word: CanonicalWord) -> np.ndarray:
         hit = self._forward_cache.get(word)
@@ -123,6 +149,16 @@ class GeneralizedState:
             hit = self._forward(word)
             self._forward_cache[word] = hit
         return hit
+
+    def forward_vectors(self, words: Sequence[CanonicalWord]) -> np.ndarray:
+        """The columns ``r(w)`` for every word, shape ``(D, n)``, in one pass.
+
+        A state that only defines ``_forward`` gets its per-word vectors
+        stacked; the batched contraction bypasses the per-word cache.
+        """
+        if type(self)._contract is GeneralizedState._contract:
+            return np.stack([self.forward_vector(w) for w in words], axis=1)
+        return self._contract(*slot_groups(self.algebra, words, self.slots)).T
 
     def eval_words(self, b: CanonicalWord, a: CanonicalWord) -> complex:
         """Kernel value omega(b, a) on a pair of canonical words."""
@@ -190,23 +226,15 @@ class SequentialModel(GeneralizedState):
         )
         super().__init__(algebra, range(1, n + 1))
 
-    def _forward(self, word: CanonicalWord) -> np.ndarray:
-        g = self.groups(word)
-        v = g[-1] @ self.psi
-        for k in range(len(g) - 2, -1, -1):
-            v = self.unitaries[k] @ v
-            v = g[k] @ v
-        return v
+    def _contract(self, *groups: np.ndarray) -> np.ndarray:
+        v = (groups[-1] @ self.psi)[..., None]
+        for g, u in zip(groups[-2::-1], self.unitaries[::-1]):
+            v = g @ (u @ v)
+        return v[..., 0]
 
 
 # ----------------------------------------------------------------------
 # control-branch families: switch and fuzz
-
-def _projector(dim: int, k: int) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=complex)
-    p[k, k] = 1.0
-    return p
-
 
 @dataclass(frozen=True)
 class FuzzBranch:
@@ -224,10 +252,12 @@ class FuzzBranch:
     mid: np.ndarray
     post: np.ndarray
 
-    def chain(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.order == "yx":
-            return self.post @ x @ self.mid @ y @ self.pre
-        return self.post @ y @ self.mid @ x @ self.pre
+    def apply(self, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The chain ``post x mid y pre`` (order "yx", else x and y swapped)
+        applied to the column stack ``t``; x, y and t broadcast over a
+        leading batch axis."""
+        first, second = (y, x) if self.order == "yx" else (x, y)
+        return self.post @ (second @ (self.mid @ (first @ (self.pre @ t))))
 
 
 class FuzzModel(GeneralizedState):
@@ -298,14 +328,17 @@ class FuzzModel(GeneralizedState):
                 f"|omega(e,e) - 1| = {norm_err:.3e}"
             )
 
-    def middle(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The control-projected branch sum sandwiched between u and v."""
-        out = np.zeros(
-            (self.control_dim * self.dim, self.control_dim * self.dim), dtype=complex
+    def _contract(
+        self, x: np.ndarray, y: np.ndarray, u: np.ndarray, v: np.ndarray
+    ) -> np.ndarray:
+        """``v M(x, y) u psi`` with ``M = sum_k w_k |k><k| (x) chain_k(x, y)``:
+        branch k acts on the k-th control block of ``u psi``."""
+        t = (u @ self.psi).reshape(len(u), self.control_dim, self.dim, 1)
+        s = np.concatenate(
+            [br.weight * br.apply(x, y, t[:, k]) for k, br in enumerate(self.branches)],
+            axis=1,
         )
-        for k, br in enumerate(self.branches):
-            out += br.weight * np.kron(_projector(self.control_dim, k), br.chain(x, y))
-        return out
+        return (v @ s)[..., 0]
 
     def amplitude(
         self,
@@ -317,11 +350,8 @@ class FuzzModel(GeneralizedState):
     ) -> complex:
         """Transition amplitude from the model state to phi through x, y, u, v."""
         phi = np.asarray(phi, dtype=complex).reshape(-1)
-        return complex(phi.conj() @ (v @ (self.middle(x, y) @ (u @ self.psi))))
-
-    def _forward(self, word: CanonicalWord) -> np.ndarray:
-        x, y, u, v = self.groups(word)
-        return v @ (self.middle(x, y) @ (u @ self.psi))
+        ops = [np.asarray(m, dtype=complex)[None] for m in (x, y, u, v)]
+        return complex(phi.conj() @ self._contract(*ops)[0])
 
 
 class SwitchModel(FuzzModel):
@@ -356,8 +386,6 @@ class SwitchModel(FuzzModel):
         )
         super().__init__(dim, psi, branches, family="switch",
                          max_word_len=max_word_len)
-        self.u_vx0, self.u_xy0, self.u_yu0 = self.branches[0].post, self.branches[0].mid, self.branches[0].pre
-        self.u_vy1, self.u_yx1, self.u_xu1 = self.branches[1].post, self.branches[1].mid, self.branches[1].pre
 
     def as_fuzz(self) -> FuzzModel:
         """The same evaluator presented as a plain two-branch FuzzModel."""
@@ -385,6 +413,12 @@ class SuperspacetimeBranch:
 
 HERMITIAN_TOL = 1e-10
 SST_UNITARY_TOL = 1e-9
+
+
+def _evolution(h: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i H t)`` for hermitian ``H``, as ``V diag(exp(-i lambda t)) V^dagger``."""
+    evals, evecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
 class SuperspacetimeModel:
@@ -446,7 +480,7 @@ class SuperspacetimeModel:
         fuzz_branches = []
         for br in self.branches:
             segs = [
-                scipy.linalg.expm(-1j * np.asarray(h, dtype=complex) * float(t))
+                _evolution(np.asarray(h, dtype=complex), float(t))
                 for h, t in zip(br.hamiltonians, br.durations)
             ]
             order = "yx" if br.permutation[0] == 1 else "xy"

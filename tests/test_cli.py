@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 from causal_kernel.cli import main
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -138,6 +139,39 @@ class TestGramAndGns:
             assert key in report
         assert report["basisSize"] == 25
         assert report["nullRank"] + report["quotientDim"] == 25
+
+    def test_gns_pretty_prints_json_scalars(self, capsys):
+        code, out, _ = run(capsys, "gns", "--model", SEQ, "--max-len", "2",
+                           "--format", "pretty")
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        report = json.loads(run(capsys, "gns", "--model", SEQ, "--max-len", "2")[1])
+        assert lines["reconstructionMaxError"] == "null"
+        assert {k: json.loads(v) for k, v in lines.items()} == report
+
+    @pytest.mark.parametrize("argv", [
+        ("gns", "--max-len", "-1"),
+        ("gns", "--max-len", "0"),
+        ("gram", "--max-len", "-1"),
+        ("gns", "--jobs", "0"),
+    ])
+    def test_out_of_range_arguments_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--model", SEQ])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_gns_max_len_above_word_cap_exits_5(self, capsys):
+        code, out, err = run(capsys, "gns", "--model", SEQ, "--max-len", "6")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("gns error:")
+        assert "word-length cap 6" in err
+
+    def test_gram_max_len_zero_is_the_unit_word(self, capsys):
+        code, out, _ = run(capsys, "gram", "--model", SEQ, "--max-len", "0")
+        assert code == 0
+        assert json.loads(out)["basisSize"] == 1
 
     def test_gns_jobs_identical(self, capsys):
         _, out1, _ = run(capsys, "gns", "--model", SEQ, "--max-len", "2")

@@ -5,6 +5,7 @@ import pytest
 
 from causal_kernel.algebra import FactorSpec, FreeAlgebra
 from causal_kernel.gns import (
+    GnsError,
     GramPropertyError,
     RepresentationError,
     WordBasis,
@@ -139,7 +140,44 @@ class TestNullSpace:
             pytest.fail("expected GramPropertyError")
 
 
+def per_word_left_ideal(state, basis, ns):
+    """(in-cap, unrestricted) violations by the per-letter, per-word loop
+    that evaluates every product term with forward_vector."""
+    dom = [i for i, w in enumerate(basis.words) if len(w) <= basis.max_len - 1]
+    r_dom = np.stack([state.forward_vector(basis.words[i]) for i in dom], axis=1)
+    evals, evecs = np.linalg.eigh(r_dom.conj().T @ r_dom)
+    n_dom = evecs[:, evals < ns.cutoff]
+    worst = [0.0, 0.0]
+    for letter in basis.algebra.generator_letters():
+        b_el = basis.algebra.word_element((letter,))
+        rho = np.zeros((r_dom.shape[0], len(basis)), dtype=complex)
+        for j, w_el in enumerate(basis.elements()):
+            for w, c in (b_el * w_el).items():
+                rho[:, j] += c * state.forward_vector(w)
+        for k, m in enumerate((rho[:, dom] @ n_dom, rho @ ns.null_vectors)):
+            worst[k] = max(worst[k], float(np.linalg.norm(m, 2)) ** 2)
+    return tuple(worst)
+
+
 class TestLeftIdeal:
+    @pytest.mark.parametrize("make", [
+        lambda rng: adversarial_state(),
+        lambda rng: representation_backed_state(rng),
+        random_sequential,
+        random_switch,
+    ], ids=["adversarial", "representation_backed", "sequential", "switch"])
+    def test_batched_check_matches_per_word_loop(self, rng, make):
+        # word-map states take the stacking fallback of forward_vectors,
+        # the families the batched contraction
+        state = make(rng)
+        basis = WordBasis.build(state.algebra, 2)
+        ns = null_space(gram(state, basis))
+        report = check_left_ideal(state, basis, ns)
+        ref = per_word_left_ideal(state, basis, ns)
+        got = (report.max_violation, report.max_violation_unrestricted)
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-12 * max(r, 1.0)
+
     def test_no_null_space_is_vacuous(self):
         adv = adversarial_state()
         basis = WordBasis.build(adv.algebra, 1)
@@ -256,6 +294,14 @@ class TestRepresentationBacked:
         result = build_gns(state, max_len=2)
         with pytest.raises(RepresentationError, match="domain"):
             represent_word(result, ((1, 0), (2, 0)))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("max_len, match", [
+        (0, "domain"), (-1, "domain"), (6, "word-length cap 6")])
+    def test_build_gns_refuses_up_front(self, rng, max_len, match):
+        with pytest.raises(GnsError, match=match):
+            build_gns(random_sequential(rng), max_len=max_len)
 
 
 class TestFamilies:

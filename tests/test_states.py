@@ -24,7 +24,9 @@ from causal_kernel.states import (
     SwitchModel,
     UnregisteredSlotError,
     group_by_factor,
+    slot_groups,
 )
+from causal_kernel.oracle import state_kernel_bruteforce
 
 from conftest import I2, SX, SY, SZ
 
@@ -62,6 +64,58 @@ class TestGrouping:
     def test_unregistered_slot(self, qubit_pair_algebra):
         with pytest.raises(UnregisteredSlotError):
             group_by_factor(qubit_pair_algebra, ((2, 0),), (1,))
+
+
+class TestBatchedForward:
+    """forward_vectors against the per-word route and the oracle."""
+
+    @staticmethod
+    def _words(rng, m):
+        # the empty word, every short word, and long words through every slot
+        slots = m.slots
+        every = tuple((f, i % len(m.algebra.factor(f).basis))
+                      for i, f in enumerate(slots + slots[:1]))
+        words = list(m.algebra.words(1)) + [every, every[::-1]]
+        words += [random_word(rng, m.algebra, max_len=4) for _ in range(30)]
+        return words
+
+    def test_matches_per_word_route(self, rng):
+        for m in all_models(rng) + [random_sequential(rng, n_slots=3)]:
+            words = self._words(rng, m)
+            batch = m.forward_vectors(words)
+            assert batch.shape == (len(m.forward_vector(())), len(words))
+            for j, w in enumerate(words):
+                np.testing.assert_allclose(batch[:, j], m.forward_vector(w),
+                                           rtol=0, atol=1e-12)
+
+    def test_kernel_matches_oracle(self, rng):
+        for m in all_models(rng):
+            words = self._words(rng, m)
+            r = m.forward_vectors(words)
+            for i, j in rng.integers(0, len(words), size=(12, 2)):
+                wi, wj = words[int(i)], words[int(j)]
+                brute = state_kernel_bruteforce(m, tuple(reversed(wi)), wj)
+                assert abs(r[:, i].conj() @ r[:, j] - brute) <= 1e-12
+
+    def test_empty_word_alone(self, rng):
+        for m in all_models(rng):
+            np.testing.assert_allclose(m.forward_vectors([()])[:, 0],
+                                       m.forward_vector(()), rtol=0, atol=1e-12)
+
+    def test_slot_groups_of_a_word_list(self, qubit_pair_algebra):
+        words = [(), ((1, 0), (2, 2), (1, 1)), ((2, 2), (1, 0)), ((2, 1),)]
+        expected = [(I2, I2), (SX @ SY, SZ), (SX, SZ), (I2, SY)]
+        stacks = slot_groups(qubit_pair_algebra, words, (1, 2))
+        for j, groups in enumerate(expected):
+            for stack, g in zip(stacks, groups):
+                np.testing.assert_allclose(stack[j], g)
+
+    def test_foreign_letter_raises(self, rng):
+        m = random_sequential(rng)
+        with pytest.raises(UnregisteredSlotError):
+            m.forward_vectors([(), ((3, 0),)])
+        with pytest.raises(UnregisteredSlotError):
+            m.forward_vector(((1, 0), (3, 0)))
 
 
 class TestSequential:
@@ -430,14 +484,6 @@ class TestBilinearity:
                 w_aa = m.eval_bilinear(a.star(), a).real
                 w_bb = m.eval_bilinear(b.star(), b).real
                 assert abs(w_ab) ** 2 <= w_aa * w_bb + 1e-9
-
-    def test_group_cache_is_consistent(self, rng):
-        m = random_switch(rng)
-        w = random_word(rng, m.algebra, max_len=3)
-        first = [g.copy() for g in m.groups(w)]
-        again = m.groups(w)
-        for g1, g2 in zip(first, again):
-            np.testing.assert_allclose(g1, g2)
 
     def test_concurrent_evaluation_is_deterministic(self, rng):
         # cold caches hit from several threads must agree with a fresh
