@@ -494,12 +494,13 @@ class FreeAlgebra:
         out: dict = {}
         for wa, ca in a._terms.items():
             for wb, cb in b._terms.items():
-                for w, c in self._join(wa, wb).items():
+                for w, c in self.join_words(wa, wb).items():
                     out[w] = out.get(w, 0j) + ca * cb * c
         return self._make(out)
 
-    def _join(self, left: CanonicalWord, right: CanonicalWord) -> dict:
-        """Concatenate two canonical words, reducing at the junction."""
+    def join_words(self, left: CanonicalWord, right: CanonicalWord) -> dict:
+        """Product of two canonical words as ``{word: coefficient}``, reduced at
+        the junction; the words are not re-validated."""
         out: dict = {}
         stack = [(left, right, 1.0 + 0j)]
         while stack:

@@ -3,8 +3,9 @@
 Subcommands: eval, gram, gns, verify, demo-switch, demo-fuzz.  Output is
 deterministic for a fixed seed; JSON is emitted with sorted keys.  Exit
 codes: 0 success, 1 verification failure, 2 expression parse error or
-command-line usage error, 3 model validation error, 4 dimension mismatch,
-5 Hilbert-space pipeline refusal.  Diagnostics go to standard error;
+command-line usage error (including a flag the subcommand does not take),
+3 model validation error, 4 dimension mismatch, 5 refusal by gns or gram
+(word-length cap or word-basis size limit).  Diagnostics go to standard error;
 the environment variable CAUSAL_KERNEL_LOG (DEBUG, INFO, WARNING) controls
 log verbosity.
 """
@@ -20,7 +21,7 @@ import sys
 from .algebra import AlgebraError
 from .demo import demo_fuzz_report, demo_switch_report
 from .expr import ExprError, eval_expr, parse
-from .gns import GnsError, build_gns, report_obj
+from .gns import NULL_TOL, GnsError, build_gns, report_obj
 from .models import LoadedModel, ModelFormatError, load_model
 from .states import ModelValidationError, StateError
 from .verify import verify_state
@@ -73,7 +74,7 @@ def _cmd_gram(args) -> int:
 
     model = _load(args.model)
     basis = WordBasis.build(model.algebra, args.max_len)
-    g = gram(model.state, basis, jobs=args.jobs)
+    g = gram(model.state, basis)
     if args.format == "csv":
         for row in g:
             sys.stdout.write(",".join(_format_complex(z) for z in row) + "\n")
@@ -93,14 +94,7 @@ def _cmd_gram(args) -> int:
 
 def _cmd_gns(args) -> int:
     model = _load(args.model)
-    tol = args.tol if args.tol is not None else 1e-8
-    result = build_gns(
-        model.state,
-        max_len=args.max_len,
-        null_tol=tol,
-        left_ideal_tol=tol,
-        jobs=args.jobs,
-    )
+    result = build_gns(model.state, max_len=args.max_len, tol=args.tol)
     obj = report_obj(result)
     if args.format == "pretty":
         for key in sorted(obj):
@@ -147,58 +141,53 @@ def _int_at_least(low: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per subcommand, holding only the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="causal-kernel",
         description="evaluate generalized states over free-product algebras",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="json", help="output format (default json)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="seed for randomized suites (default 42)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="tolerance override where applicable")
-    common.add_argument("--jobs", type=_int_at_least(1), default=1,
-                        help="accepted for compatibility; changes neither the "
-                             "computation nor the output")
-    # gns needs max-len >= 1, or its representation domain would be empty
-    any_len, gns_len = (argparse.ArgumentParser(add_help=False) for _ in range(2))
-    for holder, low in ((any_len, 0), (gns_len, 1)):
-        holder.add_argument("--max-len", type=_int_at_least(low), default=3,
-                            dest="max_len", help="word-basis length cap (default 3)")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common, any_len],
-                            help="evaluate omega(b, a) for two expressions")
-    p_eval.add_argument("--model", required=True)
+    def command(name, func, help, formats=("json", "pretty"), model=True):
+        p = sub.add_parser(name, help=help)
+        if model:
+            p.add_argument("--model", required=True)
+        if formats:
+            p.add_argument("--format", choices=formats, default="json",
+                           help="output format (default json)")
+        p.set_defaults(func=func)
+        return p
+
+    def max_len(p, low):
+        p.add_argument("--max-len", type=_int_at_least(low), default=3,
+                       dest="max_len", help="word-basis length cap (default 3)")
+
+    p_eval = command("eval", _cmd_eval, "evaluate omega(b, a) for two expressions")
     p_eval.add_argument("--b", required=True, help="first-slot expression")
     p_eval.add_argument("--a", required=True, help="second-slot expression")
-    p_eval.set_defaults(func=_cmd_eval)
 
-    p_gram = sub.add_parser("gram", parents=[common, any_len],
-                            help="Gram matrix over the truncated word basis")
-    p_gram.add_argument("--model", required=True)
-    p_gram.set_defaults(func=_cmd_gram)
+    p_gram = command("gram", _cmd_gram, "Gram matrix over the truncated word basis",
+                     formats=("json", "csv", "pretty"))
+    max_len(p_gram, 0)
 
-    p_gns = sub.add_parser("gns", parents=[common, gns_len],
-                           help="run the Hilbert-space construction pipeline")
-    p_gns.add_argument("--model", required=True)
-    p_gns.set_defaults(func=_cmd_gns)
+    p_gns = command("gns", _cmd_gns, "run the Hilbert-space construction pipeline")
+    # gns needs max-len >= 1, or its representation domain would be empty
+    max_len(p_gns, 1)
+    p_gns.add_argument("--tol", type=float, default=NULL_TOL,
+                       help="null-space cutoff relative to the largest eigenvalue, "
+                            "and left-ideal tolerance (default 1e-8)")
 
-    p_verify = sub.add_parser("verify", parents=[common, any_len],
-                              help="run the randomized verification suites")
-    p_verify.add_argument("--model", required=True)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify = command("verify", _cmd_verify, "run the randomized verification suites",
+                       formats=())
+    p_verify.add_argument("--seed", type=int, default=42,
+                          help="seed for the randomized suites (default 42)")
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help="one tolerance for every suite (default: per suite)")
 
-    p_ds = sub.add_parser("demo-switch", parents=[common, any_len],
-                          help="control-superposition walkthrough")
-    p_ds.set_defaults(func=_cmd_demo(demo_switch_report))
-
-    p_df = sub.add_parser("demo-fuzz", parents=[common, any_len],
-                          help="weighted-branch walkthrough")
-    p_df.set_defaults(func=_cmd_demo(demo_fuzz_report))
-
+    command("demo-switch", _cmd_demo(demo_switch_report),
+            "control-superposition walkthrough", model=False)
+    command("demo-fuzz", _cmd_demo(demo_fuzz_report),
+            "weighted-branch walkthrough", model=False)
     return parser
 
 

@@ -25,6 +25,8 @@ GRAM_HERMITIAN_TOL = 1e-9
 GRAM_PSD_TOL = 1e-8
 NULL_TOL = 1e-8
 LEFT_IDEAL_TOL = 1e-8
+# largest dense Gram matrix a word basis may need: 1 GiB, n <= 8192 words
+MAX_GRAM_BYTES = 2**30
 
 
 class GnsError(Exception):
@@ -54,7 +56,24 @@ class WordBasis:
 
     @classmethod
     def build(cls, algebra: FreeAlgebra, max_len: int) -> "WordBasis":
-        return cls(algebra, int(max_len), tuple(algebra.words(int(max_len))))
+        """Refuses, before enumerating a word, a ``max_len`` beyond the
+        algebra's word-length cap or a basis whose dense complex Gram matrix
+        would exceed ``MAX_GRAM_BYTES``."""
+        max_len = int(max_len)
+        cap = algebra.max_word_len
+        if max_len > cap:
+            raise GnsError(
+                f"max_len {max_len} exceeds the algebra's word-length cap {cap}"
+            )
+        n = expected_basis_size(algebra, max_len)
+        gram_bytes = n * n * np.dtype(complex).itemsize
+        if gram_bytes > MAX_GRAM_BYTES:
+            raise GnsError(
+                f"max_len {max_len} gives a basis of {n} words whose Gram matrix "
+                f"needs {gram_bytes / 2**30:.1f} GiB, above the limit of "
+                f"{MAX_GRAM_BYTES / 2**30:g} GiB"
+            )
+        return cls(algebra, max_len, tuple(algebra.words(max_len)))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -86,8 +105,8 @@ def gram(state: GeneralizedState, basis: WordBasis, jobs: int = 1) -> np.ndarray
     ``R`` holds the forward vectors of the basis words as columns, evaluated
     in one batch; the result equals evaluating eval_bilinear(star(a), b)
     entry by entry (the test suite cross-checks the two routes).  ``jobs``
-    is accepted for compatibility and changes neither the computation nor
-    the result: the Gram matrix is a single matrix product.
+    changes neither the computation nor the result; it is kept only because
+    the benchmark's layer replay (``perfbench/layers.py``) passes it.
     """
     r = state.forward_vectors(basis.words)
     return r.conj().T @ r
@@ -187,16 +206,14 @@ def check_left_ideal(
     algebra = basis.algebra
     dom = _domain(basis)
     letters = list(algebra.generator_letters())
-    # every letter x basis-word product once, through the algebra (valid for
-    # any state); the distinct product words then go through one batched
-    # evaluation together with the domain words
-    word_elems = basis.elements()
+    # every letter x basis-word product once, through the algebra's word join
+    # (valid for any state); the distinct product words then go through one
+    # batched evaluation together with the domain words
     columns: dict = {}
     terms = []
     for li, letter in enumerate(letters):
-        b_el = algebra.word_element((letter,))
-        for j, w_el in enumerate(word_elems):
-            for w, c in (b_el * w_el).items():
+        for j, word in enumerate(basis.words):
+            for w, c in algebra.join_words((letter,), word).items():
                 terms.append((li, j, columns.setdefault(w, len(columns)), c))
     dom_cols = [columns.setdefault(basis.words[i], len(columns)) for i in dom]
     r = state.forward_vectors(list(columns))
@@ -258,13 +275,11 @@ def represent(
     domain = _domain(basis)
     if not domain:
         raise RepresentationError("basis has no words inside the domain cap")
-    b_el = algebra.word_element((letter,))
     s = coords[:, domain]
     y = np.zeros((coords.shape[0], len(domain)), dtype=complex)
     for col, i in enumerate(domain):
-        prod = b_el * algebra.word_element(basis.words[i])
         vec = np.zeros(len(basis.words), dtype=complex)
-        for w, c in prod.items():
+        for w, c in algebra.join_words((letter,), basis.words[i]).items():
             j = index.get(w)
             if j is None:
                 raise RepresentationError(
@@ -333,15 +348,15 @@ def reconstruct_check(state: GeneralizedState, basis: WordBasis, result: GnsResu
 def build_gns(
     state: GeneralizedState,
     max_len: int = 3,
-    null_tol: float = NULL_TOL,
-    left_ideal_tol: float = LEFT_IDEAL_TOL,
-    jobs: int = 1,
+    tol: float = NULL_TOL,
 ) -> GnsResult:
     """Run the full pipeline; representation steps run only when permitted.
 
-    Refuses up front when ``max_len`` leaves the representation domain empty
-    or when the left-ideal check's letter products (length ``max_len + 1``)
-    would exceed the algebra's word-length cap.
+    ``tol`` is both the relative null-space cutoff and the left-ideal
+    tolerance.  Refuses up front when ``max_len`` leaves the representation
+    domain empty, when the left-ideal check's letter products (length
+    ``max_len + 1``) would exceed the algebra's word-length cap, or when the
+    basis is too large (``WordBasis.build``).
     """
     cap = state.algebra.max_word_len
     if max_len < 1:
@@ -355,16 +370,14 @@ def build_gns(
             f"above the algebra's word-length cap {cap}"
         )
     basis = WordBasis.build(state.algebra, max_len)
-    g = gram(state, basis, jobs=jobs)
-    ns = null_space(g, tol=null_tol)
+    g = gram(state, basis)
+    ns = null_space(g, tol=tol)
     report = check_left_ideal(state, basis, ns)
     coords = _quotient_coords(ns, g)
     letter_reps = None
-    if report.passed(left_ideal_tol):
+    if report.passed(tol):
         letter_reps = {
-            letter: represent(
-                state, basis, ns, report, letter, tol=left_ideal_tol, coords=coords
-            )
+            letter: represent(state, basis, ns, report, letter, tol=tol, coords=coords)
             for letter in state.algebra.generator_letters()
         }
     result = GnsResult(

@@ -92,8 +92,6 @@ def _slot_products_from_matrices(letters, slots, dims) -> list[np.ndarray]:
 def _sequential_bruteforce(model, b: CanonicalWord, a: CanonicalWord) -> complex:
     algebra = model.algebra
     slots = model.slots
-    dims = [algebra.factor(f).dim for f in slots]
-    del dims
     a_groups = _slot_products(algebra, a, slots)
     b_groups = _slot_products(algebra, b, slots)
     us = [np.asarray(u, dtype=complex) for u in model.unitaries]

@@ -208,7 +208,6 @@ class SequentialModel(GeneralizedState):
         dim: int,
         psi: np.ndarray,
         unitaries: Sequence[np.ndarray],
-        max_word_len: int = 6,
     ):
         dim = int(dim)
         unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
@@ -221,9 +220,7 @@ class SequentialModel(GeneralizedState):
             _check_unitary(f"unitaries[{k}]", u, dim, UNITARY_TOL)
             for k, u in enumerate(unitaries)
         )
-        algebra = FreeAlgebra(
-            [FactorSpec(i, dim) for i in range(1, n + 1)], max_word_len
-        )
+        algebra = FreeAlgebra([FactorSpec(i, dim) for i in range(1, n + 1)])
         super().__init__(algebra, range(1, n + 1))
 
     def _contract(self, *groups: np.ndarray) -> np.ndarray:
@@ -279,7 +276,6 @@ class FuzzModel(GeneralizedState):
         branches: Sequence[FuzzBranch],
         family: str | None = None,
         unitary_tol: float = UNITARY_TOL,
-        max_word_len: int = 6,
     ):
         dim = int(dim)
         branches = tuple(branches)
@@ -317,8 +313,7 @@ class FuzzModel(GeneralizedState):
                 FactorSpec(2, dim),
                 FactorSpec(3, total),
                 FactorSpec(4, total),
-            ],
-            max_word_len,
+            ]
         )
         super().__init__(algebra, (1, 2, 3, 4))
         norm_err = self.unit_check()
@@ -374,7 +369,6 @@ class SwitchModel(FuzzModel):
         u_vy1: np.ndarray,
         u_yx1: np.ndarray,
         u_xu1: np.ndarray,
-        max_word_len: int = 6,
     ):
         branches = (
             FuzzBranch(1.0, "yx", pre=np.asarray(u_yu0, dtype=complex),
@@ -384,8 +378,7 @@ class SwitchModel(FuzzModel):
                        mid=np.asarray(u_yx1, dtype=complex),
                        post=np.asarray(u_vy1, dtype=complex)),
         )
-        super().__init__(dim, psi, branches, family="switch",
-                         max_word_len=max_word_len)
+        super().__init__(dim, psi, branches, family="switch")
 
     def as_fuzz(self) -> FuzzModel:
         """The same evaluator presented as a plain two-branch FuzzModel."""

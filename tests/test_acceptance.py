@@ -10,6 +10,7 @@ states, where the construction is promised to hold.  See the README.
 """
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -376,8 +377,12 @@ def test_criterion_8_verify_determinism():
         sys.executable, "-m", "causal_kernel.cli", "verify",
         "--model", str(MODELS_DIR / "switch_qubit.json"), "--seed", "42",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the child imports the package from this checkout, as this process does
+    src = str(MODELS_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout, "verify output is not byte-identical"
     report = json.loads(first.stdout)
     assert report["passed"] is True

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -153,7 +154,6 @@ class TestGramAndGns:
         ("gns", "--max-len", "-1"),
         ("gns", "--max-len", "0"),
         ("gram", "--max-len", "-1"),
-        ("gns", "--jobs", "0"),
     ])
     def test_out_of_range_arguments_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -173,11 +173,21 @@ class TestGramAndGns:
         assert code == 0
         assert json.loads(out)["basisSize"] == 1
 
-    def test_gns_jobs_identical(self, capsys):
-        _, out1, _ = run(capsys, "gns", "--model", SEQ, "--max-len", "2")
-        _, out2, _ = run(capsys, "gns", "--model", SEQ, "--max-len", "2",
-                         "--jobs", "3")
-        assert out1 == out2
+    # switch at max-len 3 has 20,629 words: a 6.3 GiB dense Gram matrix
+    @pytest.mark.parametrize("command, model, max_len, messages", [
+        ("gram", "sequential_qubit.json", "7", ["word-length cap 6"]),
+        ("gns", "switch_qubit.json", "3", ["basis of 20629 words", "limit of 1 GiB"]),
+        ("gram", "switch_qubit.json", "3", ["basis of 20629 words", "limit of 1 GiB"]),
+    ], ids=["gram-sequential-L7", "gns-switch-L3", "gram-switch-L3"])
+    def test_basis_is_refused_before_allocating(self, capsys, command, model,
+                                                max_len, messages):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, "--model", str(MODELS_DIR / model),
+                             "--max-len", max_len)
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 5
+        assert out == ""
+        assert all(m in err for m in messages)
 
 
 class TestDemos:
@@ -199,3 +209,42 @@ class TestDemos:
         _, out1, _ = run(capsys, "demo-switch")
         _, out2, _ = run(capsys, "demo-switch")
         assert out1 == out2
+
+
+# the flags each subcommand reads, besides --model, --b and --a
+SUBCOMMANDS = {
+    "eval": (["--model", SEQ, "--b", "I", "--a", "I"], ["--format", "pretty"]),
+    "gram": (["--model", SEQ], ["--max-len", "0", "--format", "csv"]),
+    "gns": (["--model", SEQ], ["--max-len", "1", "--tol", "1e-6",
+                               "--format", "pretty"]),
+    "verify": (["--model", SEQ], ["--seed", "3", "--tol", "1e-3"]),
+    "demo-switch": ([], ["--format", "pretty"]),
+    "demo-fuzz": ([], ["--format", "pretty"]),
+}
+FLAG_VALUES = {"--format": "json", "--seed": "1", "--tol": "1e-8",
+               "--jobs": "0", "--max-len": "1"}
+UNREAD = [(command, flag) for command, (_, reads) in SUBCOMMANDS.items()
+          for flag in FLAG_VALUES if flag not in reads]
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_read_flags_are_accepted(self, capsys, command):
+        base, reads = SUBCOMMANDS[command]
+        code, out, _ = run(capsys, command, *base, *reads)
+        assert code == 0
+        assert out
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *SUBCOMMANDS[command][0], flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "gns", "demo-switch", "demo-fuzz"])
+    def test_csv_is_only_for_gram(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *SUBCOMMANDS[command][0], "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+from causal_kernel import gns, load_model
 from causal_kernel.algebra import FactorSpec, FreeAlgebra
 from causal_kernel.gns import (
     GnsError,
@@ -27,6 +29,7 @@ from causal_kernel.sampling import (
 from conftest import SX, SZ, WordMapState, representation_backed_state
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
+MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def adversarial_state():
@@ -297,6 +300,24 @@ class TestRepresentationBacked:
 
 
 class TestRefusals:
+    @pytest.mark.parametrize("model, max_len, match", [
+        ("sequential_qubit.json", 7, "word-length cap 6"),
+        ("switch_qubit.json", 3, "basis of 20629 words .* limit of 1 GiB"),
+    ], ids=["sequential-L7", "switch-L3"])
+    def test_word_basis_refuses_before_enumerating(self, model, max_len, match):
+        algebra = load_model(MODELS_DIR / model).algebra
+        with pytest.raises(GnsError, match=match):
+            WordBasis.build(algebra, max_len)
+
+    def test_gram_size_limit_is_inclusive(self, rng, monkeypatch):
+        algebra = random_sequential(rng).algebra
+        n = expected_basis_size(algebra, 2)
+        monkeypatch.setattr(gns, "MAX_GRAM_BYTES", n * n * 16)
+        assert len(WordBasis.build(algebra, 2)) == n
+        monkeypatch.setattr(gns, "MAX_GRAM_BYTES", n * n * 16 - 1)
+        with pytest.raises(GnsError, match=f"basis of {n} words"):
+            WordBasis.build(algebra, 2)
+
     @pytest.mark.parametrize("max_len, match", [
         (0, "domain"), (-1, "domain"), (6, "word-length cap 6")])
     def test_build_gns_refuses_up_front(self, rng, max_len, match):
