@@ -135,18 +135,17 @@ class FactorSpec:
         self.basis = mats
         # the basis matrices followed by the identity, for batched lookups
         self.basis_stack = _as_readonly(np.stack(mats + (np.eye(self.dim),)))
+        # flat @ m.ravel() lists tr(B_k^dagger m); the dual map, the inverse
+        # basis Gram matrix times flat, gives the basis coefficients of m
+        flat = self.basis_stack[:-1].reshape(expected, self.dim * self.dim).conj()
+        self._dual = flat
         if expected:
-            gram = np.empty((expected, expected), dtype=complex)
-            for i, bi in enumerate(mats):
-                for j, bj in enumerate(mats):
-                    gram[i, j] = np.trace(bi.conj().T @ bj)
+            gram = flat @ flat.conj().T
             if np.linalg.cond(gram) > 1e12:
                 raise FactorSpecError(
                     f"factor {index}: basis matrices are not linearly independent"
                 )
-            self._gram_inv = np.linalg.inv(gram)
-        else:
-            self._gram_inv = np.zeros((0, 0), dtype=complex)
+            self._dual = np.linalg.inv(gram) @ flat
         self._identity = _as_readonly(np.eye(self.dim))
         self._product_cache: dict[tuple[int, int], tuple[complex, np.ndarray]] = {}
 
@@ -163,11 +162,7 @@ class FactorSpec:
                 f"got shape {m.shape}"
             )
         alpha = complex(np.trace(m)) / self.dim
-        m0 = m - alpha * self._identity
-        if not self.basis:
-            return alpha, np.zeros(0, dtype=complex)
-        v = np.array([np.trace(b.conj().T @ m0) for b in self.basis], dtype=complex)
-        return alpha, self._gram_inv @ v
+        return alpha, self._dual @ (m - alpha * self._identity).ravel()
 
     def basis_product(self, i: int, j: int) -> tuple[complex, np.ndarray]:
         """Expansion of the product B_i B_j, cached."""
@@ -330,18 +325,22 @@ class FreeAlgebra:
             )
         return FreeElement(self, {((factor, basis_index),): 1.0 + 0j})
 
-    def word_element(self, word: CanonicalWord, coeff: complex = 1.0) -> FreeElement:
-        """Element for a single canonical word; the word is validated."""
+    def _reduced_word(self, word: Iterable) -> CanonicalWord:
+        """``word`` as a canonical word, after checking that every letter names
+        a registered basis matrix and no two adjacent letters share a factor."""
         word = tuple((int(f), int(k)) for f, k in word)
         prev = None
         for f, k in word:
-            spec = self.factor(f)
-            if not 0 <= k < len(spec.basis):
+            if not 0 <= k < len(self.factor(f).basis):
                 raise UnknownFactorError(f"factor {f} has no basis index {k}")
             if prev == f:
-                raise AlgebraError(f"word is not reduced: repeated factor {f}")
+                raise AlgebraError(f"word is not reduced at factor {f}")
             prev = f
-        return self._make({word: complex(coeff)})
+        return word
+
+    def word_element(self, word: CanonicalWord, coeff: complex = 1.0) -> FreeElement:
+        """Element for a single canonical word; the word is validated."""
+        return self._make({self._reduced_word(word): complex(coeff)})
 
     def embed(self, factor: int, m: np.ndarray) -> FreeElement:
         """Image of a factor matrix in the free product, in canonical form."""
@@ -366,10 +365,12 @@ class FreeAlgebra:
     ) -> FreeElement:
         """Reduce a raw word to canonical form.
 
-        The rules (merge adjacent same-factor letters, split off and absorb
-        identity components, expand traceless parts in the factor bases) are
-        confluent; passing ``rng`` applies merge/split steps in a randomized
-        order, which is useful for testing exactly that.
+        Without ``rng`` this is ``coeff`` times the product of the letters'
+        embeddings, joined word by word.  The rules (merge adjacent
+        same-factor letters, split off and absorb identity components, expand
+        traceless parts in the factor bases) are confluent; passing ``rng``
+        applies them to the raw word in a randomized order instead, an
+        independent route that tests exactly that.
         """
         raw: list[tuple[int, np.ndarray]] = []
         for f, m in letters:
@@ -381,43 +382,14 @@ class FreeAlgebra:
                     f"expected {(spec.dim, spec.dim)}"
                 )
             raw.append((int(f), m))
-        terms: dict = {}
         if rng is None:
-            self._reduce_det(raw, complex(coeff), terms)
-        else:
-            self._reduce_rand(raw, complex(coeff), terms, rng)
+            out = self.scale(coeff, self.unit())
+            for f, m in raw:
+                out = out * self.embed(f, m)
+            return out
+        terms: dict = {}
+        self._reduce_rand(raw, complex(coeff), terms, rng)
         return self._make(terms)
-
-    def _merge_adjacent(self, letters: list) -> list:
-        out: list = []
-        for f, m in letters:
-            if out and out[-1][0] == f:
-                out[-1] = (f, out[-1][1] @ m)
-            else:
-                out.append((f, m))
-        return out
-
-    def _reduce_det(self, letters: list, coeff: complex, out: dict) -> None:
-        stack = [(letters, coeff)]
-        while stack:
-            lts, c = stack.pop()
-            if abs(c) <= PRUNE_TOL:
-                continue
-            lts = self._merge_adjacent(lts)
-            split_at = -1
-            for j, (f, m) in enumerate(lts):
-                if abs(np.trace(m)) / self._factors[f].dim > PRUNE_TOL:
-                    split_at = j
-                    break
-            if split_at >= 0:
-                f, m = lts[split_at]
-                spec = self._factors[f]
-                alpha = complex(np.trace(m)) / spec.dim
-                m0 = m - alpha * spec.identity
-                stack.append((lts[:split_at] + lts[split_at + 1:], c * alpha))
-                stack.append((lts[:split_at] + [(f, m0)] + lts[split_at + 1:], c))
-            else:
-                self._expand_traceless(lts, c, out)
 
     def _reduce_rand(
         self, letters: list, coeff: complex, out: dict, rng: np.random.Generator
@@ -478,11 +450,6 @@ class FreeAlgebra:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def add(self, a: FreeElement, b: FreeElement) -> FreeElement:
-        self._require_same(a)
-        self._require_same(b)
-        return a + b
-
     def scale(self, c: complex, a: FreeElement) -> FreeElement:
         self._require_same(a)
         c = complex(c)
@@ -532,25 +499,18 @@ class FreeAlgebra:
                     out[w] = out.get(w, 0j) + c * ck
         return out
 
-    def star(self, a: FreeElement) -> FreeElement:
-        self._require_same(a)
-        return a.star()
-
     # ------------------------------------------------------------------
     # word enumeration
 
-    def words(self, max_len: int, factors: Sequence[int] | None = None) -> Iterator[CanonicalWord]:
+    def words(self, max_len: int) -> Iterator[CanonicalWord]:
         """All canonical words of length <= max_len, in deterministic order.
 
         Order is lexicographic by (length, factor sequence, basis indices),
         starting with the empty word.
         """
-        indices = tuple(sorted(factors)) if factors is not None else self.factor_indices
-        for f in indices:
-            self.factor(f)
         yield ()
         for length in range(1, max_len + 1):
-            for fseq in itertools.product(indices, repeat=length):
+            for fseq in itertools.product(self.factor_indices, repeat=length):
                 if any(fseq[i] == fseq[i + 1] for i in range(length - 1)):
                     continue
                 ranges = [range(len(self._factors[f].basis)) for f in fseq]
@@ -628,15 +588,7 @@ def element_from_obj(algebra: FreeAlgebra, obj: Sequence[Mapping]) -> FreeElemen
     terms: dict = {}
     for entry in obj:
         re, im = entry["coeff"]
-        word = tuple((int(f), int(k)) for f, k in entry["word"])
-        prev = None
-        for f, k in word:
-            spec = algebra.factor(f)
-            if not 0 <= k < len(spec.basis):
-                raise UnknownFactorError(f"factor {f} has no basis index {k}")
-            if prev == f:
-                raise AlgebraError(f"serialized word is not reduced at factor {f}")
-            prev = f
+        word = algebra._reduced_word(entry["word"])
         terms[word] = terms.get(word, 0j) + complex(float(re), float(im))
     return FreeElement(algebra, terms)
 

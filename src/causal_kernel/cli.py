@@ -21,7 +21,7 @@ import sys
 from .algebra import AlgebraError
 from .demo import demo_fuzz_report, demo_switch_report
 from .expr import ExprError, eval_expr, parse
-from .gns import NULL_TOL, GnsError, build_gns, report_obj
+from .gns import NULL_TOL, GnsError, basis_refusal, build_gns, report_obj
 from .models import LoadedModel, ModelFormatError, load_model
 from .states import ModelValidationError, StateError
 from .verify import verify_state
@@ -34,6 +34,8 @@ EXIT_PARSE_ERROR = 2
 EXIT_MODEL_ERROR = 3
 EXIT_DIMENSION_ERROR = 4
 EXIT_GNS_ERROR = 5
+
+DEFAULT_MAX_LEN = 3
 
 
 def _dump_json(obj) -> str:
@@ -50,6 +52,19 @@ def _load(path: str) -> LoadedModel:
     log.info("loaded %s model over factors %s", model.family,
              model.algebra.factor_indices)
     return model
+
+
+def _max_len(args, algebra, gns: bool) -> int:
+    """``--max-len``; when omitted, 3 if the word basis admits it, else the
+    largest length it admits.  gns needs at least 1, and its letter products
+    (length max_len + 1) within the word-length cap."""
+    if args.max_len is not None:
+        return args.max_len
+    low, top = (1, algebra.max_word_len - 1) if gns else (0, algebra.max_word_len)
+    admitted = (n for n in range(min(DEFAULT_MAX_LEN, top), low - 1, -1)
+                if basis_refusal(algebra, n) is None)
+    # when nothing is admitted, the lowest length is refused with its reason
+    return next(admitted, low)
 
 
 def _cmd_eval(args) -> int:
@@ -73,19 +88,20 @@ def _cmd_gram(args) -> int:
     from .gns import WordBasis, gram
 
     model = _load(args.model)
-    basis = WordBasis.build(model.algebra, args.max_len)
+    max_len = _max_len(args, model.algebra, gns=False)
+    basis = WordBasis.build(model.algebra, max_len)
     g = gram(model.state, basis)
     if args.format == "csv":
         for row in g:
             sys.stdout.write(",".join(_format_complex(z) for z in row) + "\n")
     elif args.format == "pretty":
-        sys.stdout.write(f"basis size {len(basis)} (words up to length {args.max_len})\n")
+        sys.stdout.write(f"basis size {len(basis)} (words up to length {max_len})\n")
         for row in g:
             sys.stdout.write("  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row) + "\n")
     else:
         obj = {
             "basisSize": len(basis),
-            "maxLen": args.max_len,
+            "maxLen": max_len,
             "gram": [[[z.real, z.imag] for z in row] for row in g],
         }
         sys.stdout.write(_dump_json(obj))
@@ -94,7 +110,8 @@ def _cmd_gram(args) -> int:
 
 def _cmd_gns(args) -> int:
     model = _load(args.model)
-    result = build_gns(model.state, max_len=args.max_len, tol=args.tol)
+    max_len = _max_len(args, model.algebra, gns=True)
+    result = build_gns(model.state, max_len=max_len, tol=args.tol)
     obj = report_obj(result)
     if args.format == "pretty":
         for key in sorted(obj):
@@ -159,8 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def max_len(p, low):
-        p.add_argument("--max-len", type=_int_at_least(low), default=3,
-                       dest="max_len", help="word-basis length cap (default 3)")
+        p.add_argument("--max-len", type=_int_at_least(low), default=None,
+                       dest="max_len",
+                       help="word-basis length cap (default 3, or the largest "
+                            "length below it the size limit admits)")
 
     p_eval = command("eval", _cmd_eval, "evaluate omega(b, a) for two expressions")
     p_eval.add_argument("--b", required=True, help="first-slot expression")

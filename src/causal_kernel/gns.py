@@ -56,23 +56,11 @@ class WordBasis:
 
     @classmethod
     def build(cls, algebra: FreeAlgebra, max_len: int) -> "WordBasis":
-        """Refuses, before enumerating a word, a ``max_len`` beyond the
-        algebra's word-length cap or a basis whose dense complex Gram matrix
-        would exceed ``MAX_GRAM_BYTES``."""
+        """Refuses, before enumerating a word, what ``basis_refusal`` names."""
         max_len = int(max_len)
-        cap = algebra.max_word_len
-        if max_len > cap:
-            raise GnsError(
-                f"max_len {max_len} exceeds the algebra's word-length cap {cap}"
-            )
-        n = expected_basis_size(algebra, max_len)
-        gram_bytes = n * n * np.dtype(complex).itemsize
-        if gram_bytes > MAX_GRAM_BYTES:
-            raise GnsError(
-                f"max_len {max_len} gives a basis of {n} words whose Gram matrix "
-                f"needs {gram_bytes / 2**30:.1f} GiB, above the limit of "
-                f"{MAX_GRAM_BYTES / 2**30:g} GiB"
-            )
+        reason = basis_refusal(algebra, max_len)
+        if reason is not None:
+            raise GnsError(reason)
         return cls(algebra, max_len, tuple(algebra.words(max_len)))
 
     def __len__(self) -> int:
@@ -83,6 +71,24 @@ class WordBasis:
 
     def elements(self) -> list[FreeElement]:
         return [self.algebra.word_element(w) for w in self.words]
+
+
+def basis_refusal(algebra: FreeAlgebra, max_len: int) -> str | None:
+    """Why a word basis up to ``max_len`` is refused, or None if it is not:
+    a ``max_len`` beyond the algebra's word-length cap, or a basis whose dense
+    complex Gram matrix would exceed ``MAX_GRAM_BYTES``."""
+    cap = algebra.max_word_len
+    if max_len > cap:
+        return f"max_len {max_len} exceeds the algebra's word-length cap {cap}"
+    n = expected_basis_size(algebra, max_len)
+    gram_bytes = n * n * np.dtype(complex).itemsize
+    if gram_bytes > MAX_GRAM_BYTES:
+        return (
+            f"max_len {max_len} gives a basis of {n} words whose Gram matrix "
+            f"needs {gram_bytes / 2**30:.1f} GiB, above the limit of "
+            f"{MAX_GRAM_BYTES / 2**30:g} GiB"
+        )
+    return None
 
 
 def expected_basis_size(algebra: FreeAlgebra, max_len: int) -> int:
@@ -177,7 +183,6 @@ class LeftIdealReport:
     evaluated_pairs: int
     skipped_pairs: int
     max_violation_unrestricted: float
-    null_rank: int
 
     def passed(self, tol: float = LEFT_IDEAL_TOL) -> bool:
         return self.max_violation <= tol
@@ -202,7 +207,7 @@ def check_left_ideal(
     the null space; see ``LeftIdealReport`` for the quantities."""
     if ns.null_rank == 0:
         # a principal block of a positive-definite Gram matrix has no null space
-        return LeftIdealReport(0.0, 0, 0, 0.0, 0)
+        return LeftIdealReport(0.0, 0, 0, 0.0)
     algebra = basis.algebra
     dom = _domain(basis)
     letters = list(algebra.generator_letters())
@@ -237,7 +242,6 @@ def check_left_ideal(
         evaluated_pairs=len(letters) * dim_dom,
         skipped_pairs=len(letters) * (ns.null_rank - dim_dom),
         max_violation_unrestricted=max_unrestricted,
-        null_rank=ns.null_rank,
     )
 
 

@@ -68,13 +68,12 @@ def random_element(
     algebra: FreeAlgebra,
     max_len: int = 3,
     max_terms: int = 3,
-    factors=None,
 ) -> FreeElement:
     n_terms = int(rng.integers(1, max_terms + 1))
     out = algebra.zero()
     for _ in range(n_terms):
         coeff = complex(rng.normal(), rng.normal())
-        word = random_word(rng, algebra, max_len, factors=factors)
+        word = random_word(rng, algebra, max_len)
         out = out + algebra.word_element(word, coeff)
     return out
 

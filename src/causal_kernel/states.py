@@ -48,14 +48,14 @@ class ModelValidationError(Exception):
     """Model data violates a structural requirement (norms, unitarity, weights)."""
 
 
-def _check_unitary(name: str, u: np.ndarray, dim: int, tol: float) -> np.ndarray:
+def _check_unitary(name: str, u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise ModelValidationError(
             f"{name}: expected a {dim}x{dim} matrix, got shape {u.shape}"
         )
     err = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if err > tol:
+    if err > UNITARY_TOL:
         raise ModelValidationError(f"{name}: not unitary (deviation {err:.3e})")
     return u
 
@@ -108,25 +108,13 @@ def slot_groups(
     return stacks
 
 
-def group_by_factor(
-    algebra: FreeAlgebra,
-    word: CanonicalWord,
-    slots: Sequence[int],
-) -> list[np.ndarray]:
-    """One matrix per slot: the slot's letters multiplied in appearance order.
-
-    Slots with no letters yield the slot's identity.
-    """
-    return [g[0] for g in slot_groups(algebra, [word], slots)]
-
-
 class GeneralizedState:
     """Base bilinear evaluator over canonical words.
 
-    A subclass either defines ``_contract`` over stacked slot groups (the
-    built-in families) or defines a per-word ``_forward``.  Forward vectors
-    are cached per canonical word, and instances are immutable after
-    construction, so concurrent reads are safe and deterministic.
+    A subclass defines ``_contract`` over stacked slot groups.  Single
+    forward vectors are cached per canonical word, and instances are
+    immutable after construction, so concurrent reads are safe and
+    deterministic.
     """
 
     family = "abstract"
@@ -140,24 +128,18 @@ class GeneralizedState:
         """Forward vectors ``(n, D)`` from one ``(n, d, d)`` group stack per slot."""
         raise NotImplementedError
 
-    def _forward(self, word: CanonicalWord) -> np.ndarray:
-        return self._contract(*slot_groups(self.algebra, [word], self.slots))[0]
-
     def forward_vector(self, word: CanonicalWord) -> np.ndarray:
+        """``r(word)``, the batch of one, memoised per word."""
         hit = self._forward_cache.get(word)
         if hit is None:
-            hit = self._forward(word)
+            # a copy owns its D entries; a view would keep the batch's array too
+            hit = self.forward_vectors([word])[:, 0].copy()
             self._forward_cache[word] = hit
         return hit
 
     def forward_vectors(self, words: Sequence[CanonicalWord]) -> np.ndarray:
-        """The columns ``r(w)`` for every word, shape ``(D, n)``, in one pass.
-
-        A state that only defines ``_forward`` gets its per-word vectors
-        stacked; the batched contraction bypasses the per-word cache.
-        """
-        if type(self)._contract is GeneralizedState._contract:
-            return np.stack([self.forward_vector(w) for w in words], axis=1)
+        """The columns ``r(w)`` for every word, shape ``(D, n)``, in one pass;
+        it bypasses the per-word cache."""
         return self._contract(*slot_groups(self.algebra, words, self.slots)).T
 
     def eval_words(self, b: CanonicalWord, a: CanonicalWord) -> complex:
@@ -217,7 +199,7 @@ class SequentialModel(GeneralizedState):
         self.dim = dim
         self.psi = _check_state_vector("psi", psi, dim)
         self.unitaries = tuple(
-            _check_unitary(f"unitaries[{k}]", u, dim, UNITARY_TOL)
+            _check_unitary(f"unitaries[{k}]", u, dim)
             for k, u in enumerate(unitaries)
         )
         algebra = FreeAlgebra([FactorSpec(i, dim) for i in range(1, n + 1)])
@@ -275,7 +257,6 @@ class FuzzModel(GeneralizedState):
         psi: np.ndarray,
         branches: Sequence[FuzzBranch],
         family: str | None = None,
-        unitary_tol: float = UNITARY_TOL,
     ):
         dim = int(dim)
         branches = tuple(branches)
@@ -295,9 +276,9 @@ class FuzzModel(GeneralizedState):
                 FuzzBranch(
                     float(br.weight),
                     br.order,
-                    _check_unitary(f"branch {i} pre", br.pre, dim, unitary_tol),
-                    _check_unitary(f"branch {i} mid", br.mid, dim, unitary_tol),
-                    _check_unitary(f"branch {i} post", br.post, dim, unitary_tol),
+                    _check_unitary(f"branch {i} pre", br.pre, dim),
+                    _check_unitary(f"branch {i} mid", br.mid, dim),
+                    _check_unitary(f"branch {i} post", br.post, dim),
                 )
             )
         self.dim = dim
@@ -378,7 +359,7 @@ class SwitchModel(FuzzModel):
                        mid=np.asarray(u_yx1, dtype=complex),
                        post=np.asarray(u_vy1, dtype=complex)),
         )
-        super().__init__(dim, psi, branches, family="switch")
+        super().__init__(dim, psi, branches)
 
     def as_fuzz(self) -> FuzzModel:
         """The same evaluator presented as a plain two-branch FuzzModel."""
@@ -405,7 +386,6 @@ class SuperspacetimeBranch:
 
 
 HERMITIAN_TOL = 1e-10
-SST_UNITARY_TOL = 1e-9
 
 
 def _evolution(h: np.ndarray, t: float) -> np.ndarray:
@@ -481,14 +461,4 @@ class SuperspacetimeModel:
                 FuzzBranch(1.0, order, pre=segs[0], mid=segs[1], post=segs[2])
             )
         psi = np.kron(self._control, self.target_psi)
-        return FuzzModel(
-            self.dim,
-            psi,
-            fuzz_branches,
-            family="superspacetime",
-            unitary_tol=SST_UNITARY_TOL,
-        )
-
-
-def from_superspacetime(model: SuperspacetimeModel) -> FuzzModel:
-    return model.to_fuzz()
+        return FuzzModel(self.dim, psi, fuzz_branches, family="superspacetime")

@@ -35,8 +35,8 @@ class WordMapState(GeneralizedState):
         super().__init__(algebra, algebra.factor_indices)
         self._fn = forward
 
-    def _forward(self, word):
-        return self._fn(word)
+    def forward_vectors(self, words):
+        return np.stack([self._fn(w) for w in words], axis=1)
 
 
 def representation_backed_state(rng, unitary=False):

@@ -189,6 +189,20 @@ class TestGramAndGns:
         assert out == ""
         assert all(m in err for m in messages)
 
+    # without --max-len: 3 where the size limit admits it, else the largest
+    # length it admits (switch at 3 would need 20,629 words)
+    @pytest.mark.parametrize("command, fmt", [("gns", "json"), ("gram", "pretty")])
+    @pytest.mark.parametrize("model, max_len", [(SEQ, "3"), (SWITCH, "2")],
+                             ids=["sequential", "switch"])
+    def test_default_max_len_is_the_largest_admitted(self, capsys, command, fmt,
+                                                     model, max_len):
+        code, default, _ = run(capsys, command, "--model", model, "--format", fmt)
+        assert code == 0
+        code, explicit, _ = run(capsys, command, "--model", model, "--format", fmt,
+                                "--max-len", max_len)
+        assert code == 0
+        assert default == explicit
+
 
 class TestDemos:
     def test_demo_switch_rows_all_ok(self, capsys):

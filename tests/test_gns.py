@@ -170,8 +170,8 @@ class TestLeftIdeal:
         random_switch,
     ], ids=["adversarial", "representation_backed", "sequential", "switch"])
     def test_batched_check_matches_per_word_loop(self, rng, make):
-        # word-map states take the stacking fallback of forward_vectors,
-        # the families the batched contraction
+        # word-map states stack their per-word vectors in forward_vectors,
+        # the families take the batched contraction
         state = make(rng)
         basis = WordBasis.build(state.algebra, 2)
         ns = null_space(gram(state, basis))
