@@ -21,7 +21,7 @@ import sys
 from .algebra import AlgebraError
 from .demo import demo_fuzz_report, demo_switch_report
 from .expr import ExprError, eval_expr, parse
-from .gns import NULL_TOL, GnsError, basis_refusal, build_gns, report_obj
+from .gns import NULL_TOL, GnsError, build_gns, default_max_len, report_obj
 from .models import LoadedModel, ModelFormatError, load_model
 from .states import ModelValidationError, StateError
 from .verify import verify_state
@@ -34,8 +34,6 @@ EXIT_PARSE_ERROR = 2
 EXIT_MODEL_ERROR = 3
 EXIT_DIMENSION_ERROR = 4
 EXIT_GNS_ERROR = 5
-
-DEFAULT_MAX_LEN = 3
 
 
 def _dump_json(obj) -> str:
@@ -52,19 +50,6 @@ def _load(path: str) -> LoadedModel:
     log.info("loaded %s model over factors %s", model.family,
              model.algebra.factor_indices)
     return model
-
-
-def _max_len(args, algebra, gns: bool) -> int:
-    """``--max-len``; when omitted, 3 if the word basis admits it, else the
-    largest length it admits.  gns needs at least 1, and its letter products
-    (length max_len + 1) within the word-length cap."""
-    if args.max_len is not None:
-        return args.max_len
-    low, top = (1, algebra.max_word_len - 1) if gns else (0, algebra.max_word_len)
-    admitted = (n for n in range(min(DEFAULT_MAX_LEN, top), low - 1, -1)
-                if basis_refusal(algebra, n) is None)
-    # when nothing is admitted, the lowest length is refused with its reason
-    return next(admitted, low)
 
 
 def _cmd_eval(args) -> int:
@@ -88,7 +73,9 @@ def _cmd_gram(args) -> int:
     from .gns import WordBasis, gram
 
     model = _load(args.model)
-    max_len = _max_len(args, model.algebra, gns=False)
+    max_len = args.max_len
+    if max_len is None:
+        max_len = default_max_len(model.algebra, gns=False)
     basis = WordBasis.build(model.algebra, max_len)
     g = gram(model.state, basis)
     if args.format == "csv":
@@ -110,8 +97,7 @@ def _cmd_gram(args) -> int:
 
 def _cmd_gns(args) -> int:
     model = _load(args.model)
-    max_len = _max_len(args, model.algebra, gns=True)
-    result = build_gns(model.state, max_len=max_len, tol=args.tol)
+    result = build_gns(model.state, max_len=args.max_len, tol=args.tol)
     obj = report_obj(result)
     if args.format == "pretty":
         for key in sorted(obj):

@@ -25,8 +25,12 @@ GRAM_HERMITIAN_TOL = 1e-9
 GRAM_PSD_TOL = 1e-8
 NULL_TOL = 1e-8
 LEFT_IDEAL_TOL = 1e-8
+# subspace-iteration steps null_space may take to certify its split
+SPLIT_REFINE_STEPS = 3
 # largest dense Gram matrix a word basis may need: 1 GiB, n <= 8192 words
 MAX_GRAM_BYTES = 2**30
+# word-length cap used when none is given, if the word basis admits it
+DEFAULT_MAX_LEN = 3
 
 
 class GnsError(Exception):
@@ -91,6 +95,19 @@ def basis_refusal(algebra: FreeAlgebra, max_len: int) -> str | None:
     return None
 
 
+def default_max_len(algebra: FreeAlgebra, gns: bool = True) -> int:
+    """The word-length cap used when none is given: ``DEFAULT_MAX_LEN`` if
+    the word basis admits it, else the largest length it admits.  The gns
+    pipeline needs at least 1, and its letter products (length max_len + 1)
+    within the algebra's word-length cap; a bare word basis (``gns=False``)
+    needs neither.  When nothing is admitted, the lowest length, which is
+    then refused with its reason."""
+    low, top = (1, algebra.max_word_len - 1) if gns else (0, algebra.max_word_len)
+    admitted = (n for n in range(min(DEFAULT_MAX_LEN, top), low - 1, -1)
+                if basis_refusal(algebra, n) is None)
+    return next(admitted, low)
+
+
 def expected_basis_size(algebra: FreeAlgebra, max_len: int) -> int:
     """1 + sum over admissible factor sequences of prod(d_i**2 - 1)."""
     sizes = {f: len(algebra.factor(f).basis) for f in algebra.factor_indices}
@@ -122,7 +139,7 @@ def gram(state: GeneralizedState, basis: WordBasis, jobs: int = 1) -> np.ndarray
 class NullSpaceResult:
     eigenvalues: np.ndarray
     null_rank: int
-    null_vectors: np.ndarray      # columns: coefficient vectors spanning the null space
+    null_vectors: np.ndarray      # columns: orthonormal vectors spanning the null space
     quotient_basis: np.ndarray    # columns: G-orthonormal vectors spanning the complement
     cutoff: float
 
@@ -131,29 +148,71 @@ class NullSpaceResult:
         return self.quotient_basis.shape[1]
 
 
-def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
-    """Eigen-split of a hermitian PSD Gram matrix into null and quotient parts.
+def _pivoted_cholesky(h: np.ndarray, rank: int) -> np.ndarray:
+    """``rank`` steps of diagonally pivoted Cholesky on a hermitian PSD ``h``:
+    the ``n x rank`` factor whose columns span h's dominant range."""
+    n = h.shape[0]
+    factor = np.zeros((n, rank), dtype=complex)
+    diag = np.real(np.diagonal(h)).copy()
+    for k in range(rank):
+        p = int(np.argmax(diag))
+        col = h[:, p] - factor[:, :k] @ factor[p, :k].conj()
+        col /= np.sqrt(max(diag[p], np.finfo(float).tiny))
+        factor[:, k] = col
+        diag -= np.abs(col) ** 2
+        diag[p] = -np.inf
+    return factor
 
-    The cutoff scales with the largest eigenvalue; eigenvectors above it are
-    rescaled to orthonormality in the G-inner product.
+
+def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
+    """Split of a hermitian PSD Gram matrix into null and quotient parts.
+
+    The full spectrum is measured (``eigvalsh``); the cutoff scales with the
+    largest eigenvalue, and the quotient dimension ``r`` counts eigenvalues
+    at or above it.  The quotient span comes from ``r`` steps of pivoted
+    Cholesky and a Rayleigh-Ritz step on it, so no ``n x n`` eigenvector
+    matrix is formed.  The split is certified by the Davis-Kahan bound
+    ``||h Q - Q A||_2 / (theta_min - lambda_null_max)`` on the sine of its
+    angle to the exact dominant eigenspace; subspace iteration refines it
+    up to ``SPLIT_REFINE_STEPS`` times, and a bound still above ``NULL_TOL``
+    (a spectral cluster straddling the cutoff) is refused.  Quotient vectors
+    are Ritz vectors rescaled to orthonormality in the G-inner product.
     """
     g = np.asarray(g, dtype=complex)
     herm_err = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
     if herm_err > GRAM_HERMITIAN_TOL:
         raise GramPropertyError("hermiticity", herm_err)
-    evals, evecs = np.linalg.eigh((g + g.conj().T) / 2.0)
+    h = (g + g.conj().T) / 2.0
+    evals = np.linalg.eigvalsh(h)
     if evals.size and evals[0] < -GRAM_PSD_TOL:
         raise GramPropertyError("positive semidefiniteness", float(-evals[0]))
     scale = max(float(evals[-1]), 1.0) if evals.size else 1.0
     cutoff = tol * scale
-    null_mask = evals < cutoff
-    null_vectors = evecs[:, null_mask]
-    keep = ~null_mask
-    quotient = evecs[:, keep] / np.sqrt(evals[keep])
+    n = evals.size
+    rank = int(np.sum(evals >= cutoff))
+    # largest eigenvalue left in the null space, the far side of the gap
+    null_top = float(evals[n - rank - 1]) if rank < n else -np.inf
+    q, _ = np.linalg.qr(_pivoted_cholesky(h, rank))
+    for step in range(SPLIT_REFINE_STEPS + 1):
+        hq = h @ q
+        a = q.conj().T @ hq
+        ritz, rot = np.linalg.eigh(a)
+        bound = 0.0
+        if 0 < rank < n:
+            gap = float(ritz[0]) - null_top
+            resid = np.linalg.norm(hq - q @ a, 2)
+            bound = resid / gap if gap > 0 else np.inf
+        if bound <= NULL_TOL:
+            break
+        if step == SPLIT_REFINE_STEPS:
+            raise GramPropertyError("null-space split", float(bound))
+        q, _ = np.linalg.qr(hq)
+    quotient = (q @ rot) / np.sqrt(ritz)
+    complete, _ = np.linalg.qr(q, mode="complete")
     return NullSpaceResult(
         eigenvalues=evals,
-        null_rank=int(null_mask.sum()),
-        null_vectors=null_vectors,
+        null_rank=n - rank,
+        null_vectors=complete[:, rank:],
         quotient_basis=quotient,
         cutoff=float(cutoff),
     )
@@ -164,7 +223,7 @@ class LeftIdealReport:
     """Measured closure of the null space under left letter multiplication.
 
     ``R_b`` has the columns ``r(b w)``, the forward vectors of the letter
-    ``b`` times each basis word ``w``, evaluated exactly in the full algebra.
+    ``b`` times each basis word ``w`` (``GeneralizedState.letter_vectors``).
     Both violations are squared spectral norms of ``R_b`` on an orthonormal
     null basis, so neither depends on which basis a null space is given in.
 
@@ -204,38 +263,26 @@ def check_left_ideal(
     ns: NullSpaceResult,
 ) -> LeftIdealReport:
     """For each generator letter b, measure how far b maps null vectors out of
-    the null space; see ``LeftIdealReport`` for the quantities."""
+    the null space; see ``LeftIdealReport`` for the quantities.  The
+    unrestricted norm is taken on the complement of the orthonormalized
+    quotient span, ``||R_b - (R_b Q) Q^dagger||^2``, a problem of the size of
+    the forward vectors."""
     if ns.null_rank == 0:
         # a principal block of a positive-definite Gram matrix has no null space
         return LeftIdealReport(0.0, 0, 0, 0.0)
-    algebra = basis.algebra
     dom = _domain(basis)
-    letters = list(algebra.generator_letters())
-    # every letter x basis-word product once, through the algebra's word join
-    # (valid for any state); the distinct product words then go through one
-    # batched evaluation together with the domain words
-    columns: dict = {}
-    terms = []
-    for li, letter in enumerate(letters):
-        for j, word in enumerate(basis.words):
-            for w, c in algebra.join_words((letter,), word).items():
-                terms.append((li, j, columns.setdefault(w, len(columns)), c))
-    dom_cols = [columns.setdefault(basis.words[i], len(columns)) for i in dom]
-    r = state.forward_vectors(list(columns))
-    r_dom = r[:, dom_cols]
+    letters = list(basis.algebra.generator_letters())
+    rhos = state.letter_vectors(letters, basis.words)
+    r_dom = state.forward_vectors([basis.words[i] for i in dom])
     evals, evecs = np.linalg.eigh(r_dom.conj().T @ r_dom)
     n_dom = evecs[:, evals < ns.cutoff]
-    # rhos[b][:, j] = r(b w_j), the sum of c r(w) over the terms of b * w_j
-    li, j, col, c = (np.array(x) for x in zip(*terms))
-    rhos = np.zeros((len(letters), r.shape[0], len(basis)), dtype=complex)
-    np.add.at(rhos, (li, slice(None), j), c[:, None] * r.T[col])
+    q, _ = np.linalg.qr(ns.quotient_basis)
     max_restricted = 0.0
     max_unrestricted = 0.0
     for rho in rhos:
         max_restricted = max(max_restricted, _sq_spectral_norm(rho[:, dom] @ n_dom))
-        max_unrestricted = max(
-            max_unrestricted, _sq_spectral_norm(rho @ ns.null_vectors)
-        )
+        off = rho - (rho @ q) @ q.conj().T
+        max_unrestricted = max(max_unrestricted, _sq_spectral_norm(off))
     dim_dom = n_dom.shape[1]
     return LeftIdealReport(
         max_violation=max_restricted,
@@ -351,17 +398,20 @@ def reconstruct_check(state: GeneralizedState, basis: WordBasis, result: GnsResu
 
 def build_gns(
     state: GeneralizedState,
-    max_len: int = 3,
+    max_len: int | None = None,
     tol: float = NULL_TOL,
 ) -> GnsResult:
     """Run the full pipeline; representation steps run only when permitted.
 
-    ``tol`` is both the relative null-space cutoff and the left-ideal
-    tolerance.  Refuses up front when ``max_len`` leaves the representation
-    domain empty, when the left-ideal check's letter products (length
+    ``max_len`` defaults to ``default_max_len(state.algebra)``.  ``tol`` is
+    both the relative null-space cutoff and the left-ideal tolerance.
+    Refuses up front when ``max_len`` leaves the representation domain
+    empty, when the left-ideal check's letter products (length
     ``max_len + 1``) would exceed the algebra's word-length cap, or when the
     basis is too large (``WordBasis.build``).
     """
+    if max_len is None:
+        max_len = default_max_len(state.algebra)
     cap = state.algebra.max_word_len
     if max_len < 1:
         raise GnsError(

@@ -13,7 +13,9 @@ resolved exactly as resolutions of the identity, never sampled.
 ``r(w)`` is multilinear in the slot groups (the comb or process-matrix form
 of the model), so each family is one contraction of stacked slot groups
 that broadcasts over a leading batch axis: a whole word list is evaluated
-in one pass, and a single word is the batch of one.
+in one pass, and a single word is the batch of one.  A letter multiplied on
+the left of a word acts on one slot group only, so ``letter_vectors`` gets
+``r(b w)`` from the words' own groups, without forming the product words.
 """
 
 from __future__ import annotations
@@ -73,6 +75,14 @@ def _check_state_vector(name: str, psi: np.ndarray, dim: int) -> np.ndarray:
     return psi
 
 
+def _check_slots(factors: set, slots: Sequence[int]) -> None:
+    stray = factors.difference(slots)
+    if stray:
+        raise UnregisteredSlotError(
+            f"letter from factor {min(stray)} does not belong to slots {tuple(slots)}"
+        )
+
+
 def slot_groups(
     algebra: FreeAlgebra,
     words: Sequence[CanonicalWord],
@@ -86,11 +96,7 @@ def slot_groups(
     position at a time, with one batched matmul against the slot's stacked
     basis (shorter words are padded with the identity).
     """
-    stray = {f for word in words for f, _ in word}.difference(slots)
-    if stray:
-        raise UnregisteredSlotError(
-            f"letter from factor {min(stray)} does not belong to slots {tuple(slots)}"
-        )
+    _check_slots({f for word in words for f, _ in word}, slots)
     per_slot = [[[k for g, k in word if g == f] for word in words] for f in slots]
     stacks = []
     for f, lists in zip(slots, per_slot):
@@ -141,6 +147,27 @@ class GeneralizedState:
         """The columns ``r(w)`` for every word, shape ``(D, n)``, in one pass;
         it bypasses the per-word cache."""
         return self._contract(*slot_groups(self.algebra, words, self.slots)).T
+
+    def letter_vectors(
+        self, letters: Sequence[tuple[int, int]], words: Sequence[CanonicalWord]
+    ) -> np.ndarray:
+        """The columns ``r(b w)`` for every letter ``b`` and word ``w``, shape
+        ``(L, D, n)``.
+
+        Left multiplication by ``b`` multiplies the slot group of ``b``'s
+        factor on the left by ``b``'s basis matrix and leaves the other
+        groups alone (merged or cancelled letters included, by linearity),
+        so each letter is one contraction of the words' own slot groups.
+        """
+        _check_slots({f for f, _ in letters}, self.slots)
+        groups = slot_groups(self.algebra, words, self.slots)
+        out = []
+        for f, k in letters:
+            i = self.slots.index(f)
+            acted = list(groups)
+            acted[i] = self.algebra.factor(f).basis_stack[k] @ groups[i]
+            out.append(self._contract(*acted).T)
+        return np.stack(out)
 
     def eval_words(self, b: CanonicalWord, a: CanonicalWord) -> complex:
         """Kernel value omega(b, a) on a pair of canonical words."""

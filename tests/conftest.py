@@ -38,6 +38,26 @@ class WordMapState(GeneralizedState):
     def forward_vectors(self, words):
         return np.stack([self._fn(w) for w in words], axis=1)
 
+    def letter_vectors(self, letters, words):
+        return joined_letter_vectors(self, letters, words)
+
+
+def joined_letter_vectors(state, letters, words):
+    """``r(b w)`` for every letter and word, shape ``(L, D, n)``, through the
+    algebra's word join: the sum of ``c r(u)`` over the terms ``c u`` of the
+    product.  Valid for any state; the reference for ``letter_vectors``."""
+    dim = state.forward_vectors([()]).shape[0]
+    out = np.zeros((len(letters), dim, len(words)), dtype=complex)
+    for li, letter in enumerate(letters):
+        # a product may vanish (letters with disjoint supports): no terms
+        products = [state.algebra.join_words((letter,), w) for w in words]
+        joined = list({u for p in products for u in p})
+        r = dict(zip(joined, state.forward_vectors(joined).T)) if joined else {}
+        for j, p in enumerate(products):
+            for u, c in p.items():
+                out[li, :, j] += c * r[u]
+    return out
+
 
 def representation_backed_state(rng, unitary=False):
     """Forward map through an actual homomorphism: left ideal holds exactly.

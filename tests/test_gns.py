@@ -8,9 +8,11 @@ from causal_kernel import gns, load_model
 from causal_kernel.algebra import FactorSpec, FreeAlgebra
 from causal_kernel.gns import (
     GnsError,
+    GnsResult,
     GramPropertyError,
     RepresentationError,
     WordBasis,
+    _quotient_coords,
     build_gns,
     check_left_ideal,
     expected_basis_size,
@@ -18,18 +20,47 @@ from causal_kernel.gns import (
     null_space,
     reconstruct_check,
     report_obj,
+    represent,
     represent_word,
 )
 from causal_kernel.sampling import (
+    random_fuzz,
     random_sequential,
+    random_superspacetime,
     random_switch,
     random_unitary,
 )
 
-from conftest import SX, SZ, WordMapState, representation_backed_state
+from conftest import (
+    SX,
+    SZ,
+    WordMapState,
+    joined_letter_vectors,
+    representation_backed_state,
+)
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
+SWITCH = MODELS_DIR / "switch_qubit.json"
+SEQUENTIAL = MODELS_DIR / "sequential_qubit.json"
+
+
+def model_gram(path, max_len):
+    state = load_model(path).state
+    return gram(state, WordBasis.build(state.algebra, max_len))
+
+
+def spectrum_gram(rng, evals):
+    """A hermitian PSD matrix with the given spectrum in a random basis."""
+    v = random_unitary(rng, len(evals))
+    g = (v * np.asarray(evals)) @ v.conj().T
+    return (g + g.conj().T) / 2.0
+
+
+def sin_angle(a, b):
+    """Sine of the largest principal angle between the column spans of the
+    orthonormal ``a`` and ``b``."""
+    return float(np.linalg.norm(a - b @ (b.conj().T @ a), 2))
 
 
 def adversarial_state():
@@ -122,6 +153,45 @@ class TestNullSpace:
         assert ns.null_rank == len(basis) - rank
         assert ns.quotient_dim == rank
 
+    # eigh's own eigenvectors are accurate to about eps ||G|| / gap: 1e-15
+    # on the models, 2e-9 on the synthetic spectrum, whose smallest kept
+    # eigenvalue 1e-7 sits over a 1e-10 tail (null_space refines it twice)
+    @pytest.mark.parametrize("make, angle_tol", [
+        (lambda rng: model_gram(SWITCH, 2), 1e-10),
+        (lambda rng: model_gram(MODELS_DIR / "fuzz_two_branch.json", 2), 1e-10),
+        (lambda rng: model_gram(MODELS_DIR / "superspacetime_two_branch.json", 2),
+         1e-10),
+        (lambda rng: model_gram(SEQUENTIAL, 2), 1e-10),
+        (lambda rng: model_gram(SEQUENTIAL, 5), 1e-10),
+        (lambda rng: spectrum_gram(rng, [1e-10] * 32 + list(np.logspace(-7, 0, 8))),
+         gns.NULL_TOL),
+    ], ids=["switch-L2", "fuzz-L2", "superspacetime-L2", "sequential-L2",
+            "sequential-L5", "synthetic-1e-7-over-1e-10"])
+    def test_split_matches_dense_eigh(self, rng, make, angle_tol):
+        g = make(rng)
+        ns = null_space(g)
+        h = (g + g.conj().T) / 2.0
+        evals, evecs = np.linalg.eigh(h)
+        cutoff = gns.NULL_TOL * max(float(evals[-1]), 1.0)
+        top = evecs[:, evals >= cutoff]
+        # eigvalsh and eigh may differ in the last bits of the largest eigenvalue
+        assert abs(ns.cutoff - cutoff) <= 1e-14 * cutoff
+        assert ns.null_rank == len(g) - top.shape[1]
+        np.testing.assert_array_equal(ns.eigenvalues, np.linalg.eigvalsh(h))
+        q, _ = np.linalg.qr(ns.quotient_basis)
+        assert sin_angle(q, top) <= angle_tol
+        nv = ns.null_vectors
+        assert nv.shape == (len(g), ns.null_rank)
+        assert np.max(np.abs(nv.conj().T @ nv - np.eye(ns.null_rank))) <= 1e-12
+        assert np.max(np.abs(q.conj().T @ nv)) <= 1e-12
+
+    def test_cluster_straddling_the_cutoff_is_refused(self, rng):
+        # eigenvalues 1.00001e-8 and 0.99999e-8 on both sides of the cutoff
+        # 1e-8: the split between them is not determined to any accuracy
+        g = spectrum_gram(rng, [1e-14] * 36 + [0.99999e-8, 1.00001e-8, 0.5, 1.0])
+        with pytest.raises(GramPropertyError, match="null-space split"):
+            null_space(g)
+
     def test_non_hermitian_rejected(self):
         g = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(GramPropertyError, match="hermiticity"):
@@ -168,7 +238,10 @@ class TestLeftIdeal:
         lambda rng: representation_backed_state(rng),
         random_sequential,
         random_switch,
-    ], ids=["adversarial", "representation_backed", "sequential", "switch"])
+        random_fuzz,
+        lambda rng: random_superspacetime(rng).to_fuzz(),
+    ], ids=["adversarial", "representation_backed", "sequential", "switch", "fuzz",
+            "superspacetime"])
     def test_batched_check_matches_per_word_loop(self, rng, make):
         # word-map states stack their per-word vectors in forward_vectors,
         # the families take the batched contraction
@@ -180,6 +253,36 @@ class TestLeftIdeal:
         got = (report.max_violation, report.max_violation_unrestricted)
         for g, r in zip(got, ref):
             assert abs(g - r) <= 1e-12 * max(r, 1.0)
+
+    @pytest.mark.parametrize("make", [
+        random_sequential,
+        random_switch,
+        random_fuzz,
+        lambda rng: random_superspacetime(rng).to_fuzz(),
+    ], ids=["sequential", "switch", "fuzz", "superspacetime"])
+    def test_letter_vectors_match_word_join(self, rng, make):
+        state = make(rng)
+        words = WordBasis.build(state.algebra, 2).words
+        letters = list(state.algebra.generator_letters())
+        got = state.letter_vectors(letters, words)
+        ref = joined_letter_vectors(state, letters, words)
+        assert got.shape == ref.shape == (len(letters), ref.shape[1], len(words))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # the null space of the Gram block on words of length <= L is the null
+    # space at max_len L, and the letter products of those words are the
+    # same, so the in-cap violation at L + 1 is the unrestricted one at L
+    @pytest.mark.parametrize("path, values", [
+        (SWITCH, [5.8401388576620885]),
+        (SEQUENTIAL, [4.0, 12.923076923076923, 40.0]),
+    ], ids=["switch", "sequential"])
+    def test_in_cap_violation_is_unrestricted_one_length_below(self, path, values):
+        state = load_model(path).state
+        reports = [build_gns(state, max_len=n).left_ideal
+                   for n in range(1, len(values) + 2)]
+        for value, below, above in zip(values, reports, reports[1:]):
+            assert abs(below.max_violation_unrestricted - value) <= 1e-12 * value
+            assert abs(above.max_violation - value) <= 1e-12 * value
 
     def test_no_null_space_is_vacuous(self):
         adv = adversarial_state()
@@ -220,8 +323,14 @@ class TestLeftIdeal:
         m = random_sequential(rng)
         basis = WordBasis.build(m.algebra, 3)
         ns = null_space(gram(m, basis))
+        # another basis of each span; the quotient one is not orthonormal,
+        # and a unitary alone would keep Q Q^dagger for any Q
+        change = random_unitary(rng, ns.quotient_dim) @ np.diag(
+            rng.uniform(0.5, 2.0, ns.quotient_dim))
         rotated = dataclasses.replace(
-            ns, null_vectors=ns.null_vectors @ random_unitary(rng, ns.null_rank)
+            ns,
+            null_vectors=ns.null_vectors @ random_unitary(rng, ns.null_rank),
+            quotient_basis=ns.quotient_basis @ change,
         )
         report = check_left_ideal(m, basis, ns)
         turned = check_left_ideal(m, basis, rotated)
@@ -237,8 +346,6 @@ class TestLeftIdeal:
         g = gram(adv, basis)
         ns = null_space(g)
         report = check_left_ideal(adv, basis, ns)
-        from causal_kernel.gns import represent
-
         with pytest.raises(RepresentationError, match="not well-defined"):
             represent(adv, basis, ns, report, (1, 0))
 
@@ -342,6 +449,13 @@ class TestFamilies:
         assert result.letter_reps is None
         assert result.reconstruction_error is None
 
+    # the CLI's default: the largest length up to 3 the size limit admits
+    @pytest.mark.parametrize("path, max_len", [(SWITCH, 2), (SEQUENTIAL, 3)],
+                             ids=["switch", "sequential"])
+    def test_default_max_len_is_the_largest_admitted(self, path, max_len):
+        default = report_obj(build_gns(load_model(path).state))
+        assert default == report_obj(build_gns(load_model(path).state, max_len))
+
     def test_report_keys(self, rng):
         m = random_sequential(rng)
         obj = report_obj(build_gns(m, max_len=2))
@@ -355,3 +469,38 @@ class TestFamilies:
         result = build_gns(m, max_len=2)
         assert abs(np.linalg.norm(result.omega_vector) ** 2
                    - result.gram[0, 0].real) <= 1e-8
+
+
+def staged_report(state, max_len):
+    """``build_gns``'s stages called one at a time, in the order and with the
+    arguments of the benchmark's traced op (``perfbench/workloads.py``)."""
+    basis = WordBasis.build(state.algebra, max_len)
+    g = gram(state, basis)
+    ns = null_space(g)
+    report = check_left_ideal(state, basis, ns)
+    coords = _quotient_coords(ns, g)
+    letter_reps = None
+    if report.passed():
+        letter_reps = {
+            letter: represent(state, basis, ns, report, letter, coords=coords)
+            for letter in state.algebra.generator_letters()
+        }
+    result = GnsResult(
+        basis=basis, gram=g, eigenvalues=ns.eigenvalues, null_rank=ns.null_rank,
+        quotient_basis=ns.quotient_basis, omega_vector=coords[:, 0].copy(),
+        letter_reps=letter_reps, left_ideal=report, reconstruction_error=None)
+    if letter_reps is not None:
+        result = dataclasses.replace(
+            result, reconstruction_error=reconstruct_check(state, basis, result))
+    return report_obj(result)
+
+
+class TestStages:
+    @pytest.mark.parametrize("make, max_len", [
+        (lambda rng: load_model(SWITCH).state, 2),
+        (lambda rng: load_model(SEQUENTIAL).state, 5),
+        (representation_backed_state, 2),
+    ], ids=["switch-L2", "sequential-L5", "representation-backed-L2"])
+    def test_stages_give_the_build_gns_report(self, rng, make, max_len):
+        state = make(rng)
+        assert staged_report(state, max_len) == report_obj(build_gns(state, max_len))
