@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -133,11 +134,12 @@ def _cmd_demo(report) -> int:
     return run
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+def _number_where(kind, ok, what: str):
+    """An argparse type: ``kind(text)``, refused unless ``ok`` holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
     return parse
@@ -162,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def max_len(p, low):
-        p.add_argument("--max-len", type=_int_at_least(low), default=None,
+        p.add_argument("--max-len", type=_number_where(int, lambda n: n >= low,
+                                                        f"at least {low}"),
+                       default=None,
                        dest="max_len",
                        help="word-basis length cap (default 3, or the largest "
                             "length below it the size limit admits)")
@@ -178,16 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_gns = command("gns", _cmd_gns, "run the Hilbert-space construction pipeline")
     # gns needs max-len >= 1, or its representation domain would be empty
     max_len(p_gns, 1)
-    p_gns.add_argument("--tol", type=float, default=NULL_TOL,
+    p_gns.add_argument("--tol", default=NULL_TOL,
+                       type=_number_where(float, lambda t: 0 < t < 1,
+                                          "a finite number in (0, 1)"),
                        help="null-space cutoff relative to the largest eigenvalue, "
-                            "and left-ideal tolerance (default 1e-8)")
+                            "and left-ideal tolerance, in (0, 1) (default 1e-8)")
 
     p_verify = command("verify", _cmd_verify, "run the randomized verification suites",
                        formats=())
     p_verify.add_argument("--seed", type=int, default=42,
                           help="seed for the randomized suites (default 42)")
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="one tolerance for every suite (default: per suite)")
+    p_verify.add_argument("--tol", default=None,
+                          type=_number_where(float, lambda t: 0 <= t < math.inf,
+                                             "a finite number >= 0"),
+                          help="one tolerance for every suite, finite and >= 0 "
+                               "(default: per suite)")
 
     command("demo-switch", _cmd_demo(demo_switch_report),
             "control-superposition walkthrough", model=False)

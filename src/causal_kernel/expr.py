@@ -15,6 +15,7 @@ literals, so a general complex constant is written as a sum like
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -185,10 +186,10 @@ class _Parser:
         if tok.kind == "number":
             self.advance()
             text = tok.text
-            if text.endswith("i"):
-                value = complex(0.0, float(text[:-1]))
-            else:
-                value = complex(float(text), 0.0)
+            x = float(text.removesuffix("i"))
+            if not math.isfinite(x):
+                raise ExprError(tok.line, tok.col, f"scalar {text!r} overflows a float")
+            value = complex(0.0, x) if text.endswith("i") else complex(x, 0.0)
             return Scalar(value, span=(tok.line, tok.col))
         if tok.kind == "ident":
             self.advance()

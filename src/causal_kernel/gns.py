@@ -70,9 +70,6 @@ class WordBasis:
     def __len__(self) -> int:
         return len(self.words)
 
-    def index(self) -> dict:
-        return {w: i for i, w in enumerate(self.words)}
-
     def elements(self) -> list[FreeElement]:
         return [self.algebra.word_element(w) for w in self.words]
 
@@ -139,13 +136,19 @@ def gram(state: GeneralizedState, basis: WordBasis, jobs: int = 1) -> np.ndarray
 class NullSpaceResult:
     eigenvalues: np.ndarray
     null_rank: int
-    null_vectors: np.ndarray      # columns: orthonormal vectors spanning the null space
     quotient_basis: np.ndarray    # columns: G-orthonormal vectors spanning the complement
     cutoff: float
 
     @property
     def quotient_dim(self) -> int:
         return self.quotient_basis.shape[1]
+
+    @property
+    def null_vectors(self) -> np.ndarray:
+        """Orthonormal columns spanning the null space, the orthogonal
+        complement of the quotient span; formed (a complete QR) when read."""
+        complete, _ = np.linalg.qr(self.quotient_basis, mode="complete")
+        return complete[:, self.quotient_dim:]
 
 
 def _pivoted_cholesky(h: np.ndarray, rank: int) -> np.ndarray:
@@ -175,7 +178,8 @@ def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
     ``||h Q - Q A||_2 / (theta_min - lambda_null_max)`` on the sine of its
     angle to the exact dominant eigenspace; subspace iteration refines it
     up to ``SPLIT_REFINE_STEPS`` times, and a bound still above ``NULL_TOL``
-    (a spectral cluster straddling the cutoff) is refused.  Quotient vectors
+    (a spectral cluster straddling the cutoff) is refused, as is a Cholesky
+    factor that is not finite (a cutoff at rounding level).  Quotient vectors
     are Ritz vectors rescaled to orthonormality in the G-inner product.
     """
     g = np.asarray(g, dtype=complex)
@@ -192,7 +196,12 @@ def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
     rank = int(np.sum(evals >= cutoff))
     # largest eigenvalue left in the null space, the far side of the gap
     null_top = float(evals[n - rank - 1]) if rank < n else -np.inf
-    q, _ = np.linalg.qr(_pivoted_cholesky(h, rank))
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = _pivoted_cholesky(h, rank)
+    if not np.all(np.isfinite(factor)):
+        # a pivot at or below rounding level: the cutoff sits inside the noise
+        raise GramPropertyError("null-space split", np.inf)
+    q, _ = np.linalg.qr(factor)
     for step in range(SPLIT_REFINE_STEPS + 1):
         hq = h @ q
         a = q.conj().T @ hq
@@ -207,13 +216,10 @@ def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
         if step == SPLIT_REFINE_STEPS:
             raise GramPropertyError("null-space split", float(bound))
         q, _ = np.linalg.qr(hq)
-    quotient = (q @ rot) / np.sqrt(ritz)
-    complete, _ = np.linalg.qr(q, mode="complete")
     return NullSpaceResult(
         eigenvalues=evals,
         null_rank=n - rank,
-        null_vectors=complete[:, rank:],
-        quotient_basis=quotient,
+        quotient_basis=(q @ rot) / np.sqrt(ritz),
         cutoff=float(cutoff),
     )
 
@@ -224,18 +230,20 @@ class LeftIdealReport:
 
     ``R_b`` has the columns ``r(b w)``, the forward vectors of the letter
     ``b`` times each basis word ``w`` (``GeneralizedState.letter_vectors``).
-    Both violations are squared spectral norms of ``R_b`` on an orthonormal
-    null basis, so neither depends on which basis a null space is given in.
+    Both violations are squared spectral norms of ``R_b`` on the orthogonal
+    complement of a span, so neither depends on which basis a span is given
+    in.
 
-    ``max_violation`` is ``max_b ||R_b N_dom||^2``, where ``N_dom`` spans the
-    null space of the Gram block on the domain words (length <= max_len - 1,
-    the classes the quotient action maps inside the basis).  It is zero
-    exactly when left multiplication is well-defined on those classes.
-    ``max_violation_unrestricted`` is ``max_b ||R_b P||^2`` with ``P`` the
-    projector onto the whole null space, as an additional diagnostic.
-    Pairs are letters times null directions: ``evaluated_pairs`` counts
-    letters x dim N_dom and ``skipped_pairs`` the remaining
-    letters x (null_rank - dim N_dom).
+    ``max_violation`` is ``max_b ||R_b[:, dom] (1 - P_dom)||^2``, where
+    ``P_dom`` projects onto the quotient span of the domain words (length
+    <= max_len - 1, the classes the quotient action maps inside the basis),
+    the right singular vectors of their forward vectors with ``s^2`` at or
+    above the cutoff.  It is zero exactly when left multiplication is
+    well-defined on those classes.  ``max_violation_unrestricted`` is the
+    same norm of ``R_b`` off the whole quotient span, as an additional
+    diagnostic.  Pairs are letters times null directions:
+    ``evaluated_pairs`` counts letters x the domain's null dimension and
+    ``skipped_pairs`` the remaining letters x (null_rank - that dimension).
     """
 
     max_violation: float
@@ -252,9 +260,12 @@ def _domain(basis: WordBasis) -> list[int]:
     return [i for i, w in enumerate(basis.words) if len(w) <= basis.max_len - 1]
 
 
-def _sq_spectral_norm(m: np.ndarray) -> float:
-    """||m||_2^2 as the largest eigenvalue of m m^dagger (m has few rows)."""
-    return max(float(np.linalg.eigvalsh(m @ m.conj().T)[-1]), 0.0)
+def _sq_norm_off_span(m: np.ndarray, q: np.ndarray) -> float:
+    """``||m (1 - q q^dagger)||_2^2`` for ``q`` with orthonormal columns, as
+    the largest eigenvalue of ``M M^dagger``, ``M = m - (m q) q^dagger``
+    (``m`` has few rows)."""
+    off = m - (m @ q) @ q.conj().T
+    return max(float(np.linalg.eigvalsh(off @ off.conj().T)[-1]), 0.0)
 
 
 def check_left_ideal(
@@ -263,32 +274,26 @@ def check_left_ideal(
     ns: NullSpaceResult,
 ) -> LeftIdealReport:
     """For each generator letter b, measure how far b maps null vectors out of
-    the null space; see ``LeftIdealReport`` for the quantities.  The
-    unrestricted norm is taken on the complement of the orthonormalized
-    quotient span, ``||R_b - (R_b Q) Q^dagger||^2``, a problem of the size of
-    the forward vectors."""
+    the null space; see ``LeftIdealReport`` for the quantities.  Both spans
+    come from the forward vectors, so every problem has the size of ``R_b``:
+    the unrestricted one is the orthonormalized quotient span, the in-cap
+    one a thin SVD of the domain words' forward vectors."""
     if ns.null_rank == 0:
         # a principal block of a positive-definite Gram matrix has no null space
         return LeftIdealReport(0.0, 0, 0, 0.0)
     dom = _domain(basis)
     letters = list(basis.algebra.generator_letters())
     rhos = state.letter_vectors(letters, basis.words)
-    r_dom = state.forward_vectors([basis.words[i] for i in dom])
-    evals, evecs = np.linalg.eigh(r_dom.conj().T @ r_dom)
-    n_dom = evecs[:, evals < ns.cutoff]
+    _, sv, vh = np.linalg.svd(
+        state.forward_vectors([basis.words[i] for i in dom]), full_matrices=False)
+    q_dom = vh[sv**2 >= ns.cutoff].conj().T
     q, _ = np.linalg.qr(ns.quotient_basis)
-    max_restricted = 0.0
-    max_unrestricted = 0.0
-    for rho in rhos:
-        max_restricted = max(max_restricted, _sq_spectral_norm(rho[:, dom] @ n_dom))
-        off = rho - (rho @ q) @ q.conj().T
-        max_unrestricted = max(max_unrestricted, _sq_spectral_norm(off))
-    dim_dom = n_dom.shape[1]
+    dim_dom = len(dom) - q_dom.shape[1]
     return LeftIdealReport(
-        max_violation=max_restricted,
+        max_violation=max(_sq_norm_off_span(rho[:, dom], q_dom) for rho in rhos),
         evaluated_pairs=len(letters) * dim_dom,
         skipped_pairs=len(letters) * (ns.null_rank - dim_dom),
-        max_violation_unrestricted=max_unrestricted,
+        max_violation_unrestricted=max(_sq_norm_off_span(rho, q) for rho in rhos),
     )
 
 
@@ -308,10 +313,15 @@ def represent(
 ) -> np.ndarray:
     """Matrix of [w] -> [letter * w] in quotient coordinates.
 
-    The domain is restricted to classes of words of length <= max_len - 1 so
-    that images stay inside the computed basis; products that would leave the
-    basis are an error, never silently projected.  Requires the left-ideal
-    report to pass, otherwise the map is not well-defined on classes.
+    A class's quotient coordinates are ``W^dagger r(class)``, where
+    ``W = R Q`` (``Q`` the quotient basis) has orthonormal columns.  On the
+    domain words (length <= max_len - 1) the matrix is ``Y pinv(S)`` with
+    ``S = W^dagger R[:, dom]`` and ``Y = W^dagger R_letter[:, dom]``, the
+    letter's products taken on the slot groups (``letter_vectors``).
+    Requires the left-ideal report to pass, otherwise the map is not
+    well-defined on classes.  ``coords`` is not read; it is kept only
+    because the benchmark's traced op (``perfbench/workloads.py``) passes
+    it, like ``gram(jobs=)``.
     """
     if not report.passed(tol):
         raise RepresentationError(
@@ -319,27 +329,14 @@ def represent(
             f"(max violation {report.max_violation:.3e} > {tol:.1e}); "
             "the quotient action is not well-defined"
         )
-    algebra = basis.algebra
-    if coords is None:
-        coords = _quotient_coords(ns, gram(state, basis))
-    index = basis.index()
     domain = _domain(basis)
     if not domain:
         raise RepresentationError("basis has no words inside the domain cap")
-    s = coords[:, domain]
-    y = np.zeros((coords.shape[0], len(domain)), dtype=complex)
-    for col, i in enumerate(domain):
-        vec = np.zeros(len(basis.words), dtype=complex)
-        for w, c in algebra.join_words((letter,), basis.words[i]).items():
-            j = index.get(w)
-            if j is None:
-                raise RepresentationError(
-                    f"product of {letter} with word {basis.words[i]} leaves the "
-                    "truncated basis"
-                )
-            vec[j] += c
-        y[:, col] = coords @ vec
-    return y @ np.linalg.pinv(s, rcond=1e-10)
+    r = state.forward_vectors(basis.words)
+    wh = (r @ ns.quotient_basis).conj().T
+    dom_words = [basis.words[i] for i in domain]
+    y = wh @ state.letter_vectors([letter], dom_words)[0]
+    return y @ np.linalg.pinv(wh @ r[:, domain], rcond=1e-10)
 
 
 @dataclass(frozen=True)
@@ -381,16 +378,11 @@ def represent_word(result: GnsResult, word: CanonicalWord) -> np.ndarray:
 
 def reconstruct_check(state: GeneralizedState, basis: WordBasis, result: GnsResult) -> float:
     """max |omega(a*, b) - <Omega| pi(a)^dagger pi(b) |Omega>| on the domain."""
-    if result.letter_reps is None:
-        raise RepresentationError("letter representations were not built")
     domain = _domain(basis)
-    omega = result.omega_vector
-    vecs = np.empty((omega.shape[0], len(domain)), dtype=complex)
-    for col, i in enumerate(domain):
-        v = omega
-        for letter in reversed(basis.words[i]):
-            v = result.letter_reps[letter] @ v
-        vecs[:, col] = v
+    vecs = np.stack(
+        [represent_word(result, basis.words[i]) @ result.omega_vector for i in domain],
+        axis=1,
+    )
     model = vecs.conj().T @ vecs
     target = result.gram[np.ix_(domain, domain)]
     return float(np.max(np.abs(model - target)))
@@ -405,11 +397,14 @@ def build_gns(
 
     ``max_len`` defaults to ``default_max_len(state.algebra)``.  ``tol`` is
     both the relative null-space cutoff and the left-ideal tolerance.
-    Refuses up front when ``max_len`` leaves the representation domain
-    empty, when the left-ideal check's letter products (length
-    ``max_len + 1``) would exceed the algebra's word-length cap, or when the
-    basis is too large (``WordBasis.build``).
+    Refuses up front a ``tol`` that is not a finite number in (0, 1), a
+    ``max_len`` that leaves the representation domain empty, letter
+    products for the left-ideal check (length ``max_len + 1``) above the
+    algebra's word-length cap, and a basis that is too large
+    (``WordBasis.build``).
     """
+    if not 0 < tol < 1:
+        raise GnsError(f"tol {tol!r} is not a finite number in (0, 1)")
     if max_len is None:
         max_len = default_max_len(state.algebra)
     cap = state.algebra.max_word_len
@@ -427,11 +422,10 @@ def build_gns(
     g = gram(state, basis)
     ns = null_space(g, tol=tol)
     report = check_left_ideal(state, basis, ns)
-    coords = _quotient_coords(ns, g)
     letter_reps = None
     if report.passed(tol):
         letter_reps = {
-            letter: represent(state, basis, ns, report, letter, tol=tol, coords=coords)
+            letter: represent(state, basis, ns, report, letter, tol=tol)
             for letter in state.algebra.generator_letters()
         }
     result = GnsResult(
@@ -440,7 +434,7 @@ def build_gns(
         eigenvalues=ns.eigenvalues,
         null_rank=ns.null_rank,
         quotient_basis=ns.quotient_basis,
-        omega_vector=coords[:, 0].copy(),
+        omega_vector=_quotient_coords(ns, g)[:, 0].copy(),
         letter_reps=letter_reps,
         left_ideal=report,
         reconstruction_error=None,

@@ -13,6 +13,7 @@ shadow the automatic names.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -40,14 +41,29 @@ class ModelFormatError(Exception):
     """The model file does not match the documented schema."""
 
 
+def _real_from(value, where: str) -> float:
+    """A finite JSON number; ``json`` also reads NaN, Infinity and 1e400."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ModelFormatError(f"{where}: expected a finite number, got {value!r}")
+
+
+def _int_from(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ModelFormatError(f"{where}: expected a positive integer, got {value!r}")
+    return value
+
+
 def _complex_from(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ModelFormatError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    real, imag = (_real_from(x, f"{where}[{k}]") for k, x in enumerate(value))
+    return complex(real, imag)
 
 
 def _vector_from(value, where: str) -> np.ndarray:
@@ -112,15 +128,20 @@ def _user_symbols(state: GeneralizedState, spec) -> dict[str, FreeElement]:
     for name, entry in spec.items():
         if not isinstance(entry, dict):
             raise ModelFormatError(f"symbols.{name}: expected an object")
-        factor = _require(entry, "factor", f"symbols.{name}")
+        factor = _int_from(_require(entry, "factor", f"symbols.{name}"),
+                           f"symbols.{name}.factor")
+        if factor not in state.slots:
+            raise ModelFormatError(
+                f"symbols.{name}.factor: {factor} is not one of the slots {state.slots}"
+            )
         matrix = _matrix_from(_require(entry, "matrix", f"symbols.{name}"),
                               f"symbols.{name}.matrix")
-        out[name] = state.algebra.embed(int(factor), matrix)
+        out[name] = state.algebra.embed(factor, matrix)
     return out
 
 
 def _load_sequential(obj: dict) -> GeneralizedState:
-    dim = int(_require(obj, "dim", "model"))
+    dim = _int_from(_require(obj, "dim", "model"), "dim")
     psi = _vector_from(_require(obj, "psi", "model"), "psi")
     raw_us = _require(obj, "unitaries", "model")
     if not isinstance(raw_us, (list, tuple)) or not raw_us:
@@ -133,7 +154,7 @@ _SWITCH_KEYS = ("vx0", "xy0", "yu0", "vy1", "yx1", "xu1")
 
 
 def _load_switch(obj: dict) -> GeneralizedState:
-    dim = int(_require(obj, "dim", "model"))
+    dim = _int_from(_require(obj, "dim", "model"), "dim")
     psi = _vector_from(_require(obj, "psi", "model"), "psi")
     raw_us = _require(obj, "unitaries", "model")
     if not isinstance(raw_us, dict):
@@ -151,7 +172,7 @@ def _load_switch(obj: dict) -> GeneralizedState:
 
 
 def _load_fuzz(obj: dict) -> GeneralizedState:
-    dim = int(_require(obj, "dim", "model"))
+    dim = _int_from(_require(obj, "dim", "model"), "dim")
     psi = _vector_from(_require(obj, "psi", "model"), "psi")
     raw = _require(obj, "branches", "model")
     if not isinstance(raw, (list, tuple)) or not raw:
@@ -161,7 +182,7 @@ def _load_fuzz(obj: dict) -> GeneralizedState:
         where = f"branches[{i}]"
         if not isinstance(entry, dict):
             raise ModelFormatError(f"{where}: expected an object")
-        weight = _require(entry, "weight", where)
+        weight = _real_from(_require(entry, "weight", where), f"{where}.weight")
         order = _require(entry, "order", where)
         us = _require(entry, "unitaries", where)
         if not isinstance(us, (list, tuple)) or len(us) != 3:
@@ -170,7 +191,7 @@ def _load_fuzz(obj: dict) -> GeneralizedState:
             )
         branches.append(
             FuzzBranch(
-                float(weight), str(order),
+                weight, str(order),
                 pre=_matrix_from(us[0], f"{where}.unitaries[0]"),
                 mid=_matrix_from(us[1], f"{where}.unitaries[1]"),
                 post=_matrix_from(us[2], f"{where}.unitaries[2]"),
@@ -180,8 +201,10 @@ def _load_fuzz(obj: dict) -> GeneralizedState:
 
 
 def _load_superspacetime(obj: dict) -> GeneralizedState:
-    dim = int(_require(obj, "dim", "model"))
+    dim = _int_from(_require(obj, "dim", "model"), "dim")
     reference = _require(obj, "reference", "model")
+    if not isinstance(reference, (list, tuple)):
+        raise ModelFormatError("reference: expected a list of insertion-point labels")
     target_psi = _vector_from(_require(obj, "targetPsi", "model"), "targetPsi")
     raw = _require(obj, "branches", "model")
     if not isinstance(raw, (list, tuple)) or not raw:
@@ -203,11 +226,7 @@ def _load_superspacetime(obj: dict) -> GeneralizedState:
         times = _require(entry, "times", where)
         if not isinstance(hams, (list, tuple)) or len(hams) != 3:
             raise ModelFormatError(f"{where}.hamiltonians: expected three matrices")
-        if (
-            not isinstance(times, (list, tuple))
-            or len(times) != 3
-            or not all(isinstance(t, (int, float)) for t in times)
-        ):
+        if not isinstance(times, (list, tuple)) or len(times) != 3:
             raise ModelFormatError(f"{where}.times: expected three durations")
         branches.append(
             SuperspacetimeBranch(
@@ -217,7 +236,9 @@ def _load_superspacetime(obj: dict) -> GeneralizedState:
                     _matrix_from(h, f"{where}.hamiltonians[{j}]")
                     for j, h in enumerate(hams)
                 ),
-                durations=tuple(float(t) for t in times),
+                durations=tuple(
+                    _real_from(t, f"{where}.times[{j}]") for j, t in enumerate(times)
+                ),
             )
         )
     return SuperspacetimeModel(dim, reference, target_psi, branches).to_fuzz()

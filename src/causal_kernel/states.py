@@ -57,7 +57,7 @@ def _check_unitary(name: str, u: np.ndarray, dim: int) -> np.ndarray:
             f"{name}: expected a {dim}x{dim} matrix, got shape {u.shape}"
         )
     err = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if err > UNITARY_TOL:
+    if not err <= UNITARY_TOL:
         raise ModelValidationError(f"{name}: not unitary (deviation {err:.3e})")
     return u
 
@@ -68,7 +68,7 @@ def _check_state_vector(name: str, psi: np.ndarray, dim: int) -> np.ndarray:
         raise ModelValidationError(
             f"{name}: expected a vector of length {dim}, got {psi.shape}"
         )
-    if abs(np.linalg.norm(psi) - 1.0) > STATE_NORM_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
         raise ModelValidationError(
             f"{name}: not normalized (norm {np.linalg.norm(psi):.12f})"
         )
@@ -325,7 +325,7 @@ class FuzzModel(GeneralizedState):
         )
         super().__init__(algebra, (1, 2, 3, 4))
         norm_err = self.unit_check()
-        if norm_err > UNIT_OMEGA_TOL:
+        if not norm_err <= UNIT_OMEGA_TOL:
             raise ModelValidationError(
                 "weights and state do not preserve normalization: "
                 f"|omega(e,e) - 1| = {norm_err:.3e}"
@@ -464,13 +464,13 @@ class SuperspacetimeModel:
                     raise ModelValidationError(
                         f"branch {i} segment {j}: hamiltonian has shape {h.shape}"
                     )
-                if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
+                if not np.max(np.abs(h - h.conj().T)) <= HERMITIAN_TOL:
                     raise ModelValidationError(
                         f"branch {i} segment {j}: hamiltonian is not hermitian"
                     )
         amps = np.array([complex(br.amplitude) for br in branches])
         norm = np.linalg.norm(amps)
-        if norm <= 1e-12:
+        if not norm > 1e-12:
             raise ModelValidationError("branch amplitude vector is not normalizable")
         self.branches = branches
         self._control = amps / norm

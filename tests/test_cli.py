@@ -84,6 +84,28 @@ class TestModelErrors:
         assert "dimension error" in err
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["psi"][0].__setitem__(0, float("nan")),
+        lambda obj: obj["symbols"]["x"].__setitem__("factor", 3),
+        lambda obj: obj.__setitem__("dim", "abc"),
+    ], ids=["nan", "unknown-factor", "dim-text"])
+    def test_malformed_numbers_exit_3(self, capsys, tmp_path, edit):
+        path = tmp_path / "bad.json"
+        obj = json.load(open(SEQ))
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "eval", "--model", str(path),
+                             "--b", "I", "--a", "I")
+        assert (code, out) == (3, "")
+        assert err.startswith("model error:")
+
+    def test_overflowing_scalar_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--model", SEQ, "--b", "1e400",
+                             "--a", "1e400")
+        assert (code, out) == (2, "")
+        assert err.startswith("1:1: ")
+
+
 class TestVerify:
     def test_valid_model_exits_0(self, capsys):
         code, out, _ = run(capsys, "verify", "--model", SEQ, "--seed", "7")
@@ -160,6 +182,22 @@ class TestGramAndGns:
             main([*argv, "--model", SEQ])
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, tol", [
+        ("gns", "0"), ("gns", "-1"), ("gns", "1"), ("gns", "nan"), ("gns", "inf"),
+        ("gns", "abc"), ("verify", "-1"), ("verify", "nan"), ("verify", "inf"),
+    ])
+    def test_tolerance_out_of_range_is_a_usage_error(self, capsys, command, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", SEQ, f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+
+    def test_gns_tolerance_at_rounding_level_exits_5(self, capsys):
+        code, out, err = run(capsys, "gns", "--model", SWITCH, "--max-len", "2",
+                             "--tol", "1e-18")
+        assert (code, out) == (5, "")
+        assert "null-space split" in err
 
     def test_gns_max_len_above_word_cap_exits_5(self, capsys):
         code, out, err = run(capsys, "gns", "--model", SEQ, "--max-len", "6")

@@ -92,6 +92,13 @@ class TestParseErrors:
         with pytest.raises(ExprError):
             parse("")
 
+    @pytest.mark.parametrize("text, col", [("1e400", 1), ("x + 2e308i", 5),
+                                           ("(1e999*x)", 2)])
+    def test_scalar_that_overflows_is_an_error_at_its_column(self, text, col):
+        with pytest.raises(ExprError, match="overflows") as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col)
+
     def test_message_format(self):
         with pytest.raises(ExprError) as err:
             parse("adj x")

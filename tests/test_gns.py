@@ -323,15 +323,11 @@ class TestLeftIdeal:
         m = random_sequential(rng)
         basis = WordBasis.build(m.algebra, 3)
         ns = null_space(gram(m, basis))
-        # another basis of each span; the quotient one is not orthonormal,
-        # and a unitary alone would keep Q Q^dagger for any Q
+        # another basis of the quotient span, not orthonormal: a unitary
+        # alone would keep Q Q^dagger for any Q
         change = random_unitary(rng, ns.quotient_dim) @ np.diag(
             rng.uniform(0.5, 2.0, ns.quotient_dim))
-        rotated = dataclasses.replace(
-            ns,
-            null_vectors=ns.null_vectors @ random_unitary(rng, ns.null_rank),
-            quotient_basis=ns.quotient_basis @ change,
-        )
+        rotated = dataclasses.replace(ns, quotient_basis=ns.quotient_basis @ change)
         report = check_left_ideal(m, basis, ns)
         turned = check_left_ideal(m, basis, rotated)
         for field in ("max_violation", "max_violation_unrestricted"):
@@ -350,28 +346,59 @@ class TestLeftIdeal:
             represent(adv, basis, ns, report, (1, 0))
 
 
+def joined_represent(state, basis, ns, letter):
+    """``represent``'s matrix by the algebra route: the quotient coordinates
+    ``Q^dagger G`` of each product ``letter * w`` (``join_words``, looked up
+    in the basis), for the domain words ``w``, through ``pinv`` of theirs."""
+    coords = _quotient_coords(ns, gram(state, basis))
+    index = {w: i for i, w in enumerate(basis.words)}
+    dom = [i for i, w in enumerate(basis.words) if len(w) <= basis.max_len - 1]
+    y = np.zeros((coords.shape[0], len(dom)), dtype=complex)
+    for col, i in enumerate(dom):
+        vec = np.zeros(len(basis), dtype=complex)
+        for w, c in basis.algebra.join_words((letter,), basis.words[i]).items():
+            vec[index[w]] += c
+        y[:, col] = coords @ vec
+    return y @ np.linalg.pinv(coords[:, dom], rcond=1e-10)
+
+
+class TestRepresent:
+    # the built-in families fail the left-ideal check, so represent is
+    # reached here with a report forced to pass; both routes still compute
+    # Y pinv(S) on the domain, which is what this compares
+    @pytest.mark.parametrize("path", [SEQUENTIAL, SWITCH], ids=["sequential", "switch"])
+    def test_slot_group_route_matches_word_join(self, path):
+        state = load_model(path).state
+        basis = WordBasis.build(state.algebra, 2)
+        ns = null_space(gram(state, basis))
+        forced = gns.LeftIdealReport(0.0, 0, 0, 0.0)
+        for letter in state.algebra.generator_letters():
+            got = represent(state, basis, ns, forced, letter)
+            ref = joined_represent(state, basis, ns, letter)
+            assert got.shape == ref.shape == (ns.quotient_dim, ns.quotient_dim)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestRepresentationBacked:
     def test_letter_on_unit_class(self, rng):
         state = representation_backed_state(rng)
         result = build_gns(state, max_len=2)
         coords = result.quotient_basis.conj().T @ result.gram
-        index = result.basis.index()
         for letter in state.algebra.generator_letters():
             pi = result.letter_reps[letter]
             got = pi @ result.omega_vector
-            expected = coords[:, index[(letter,)]]
+            expected = coords[:, result.basis.words.index((letter,))]
             assert np.max(np.abs(got - expected)) < 1e-8
 
     def test_products_on_cyclic_vector(self, rng):
         state = representation_backed_state(rng)
         result = build_gns(state, max_len=3)
         coords = result.quotient_basis.conj().T @ result.gram
-        index = result.basis.index()
         words = [w for w in result.basis.words if 0 < len(w) <= 2]
         rng.shuffle(words)
         for w in words[:20]:
             got = represent_word(result, w) @ result.omega_vector
-            expected = coords[:, index[w]]
+            expected = coords[:, result.basis.words.index(w)]
             assert np.max(np.abs(got - expected)) < 1e-7
 
     @pytest.mark.parametrize("unitary", [False, True])
@@ -430,6 +457,17 @@ class TestRefusals:
     def test_build_gns_refuses_up_front(self, rng, max_len, match):
         with pytest.raises(GnsError, match=match):
             build_gns(random_sequential(rng), max_len=max_len)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, float("nan"), float("inf")])
+    def test_build_gns_refuses_a_tolerance_outside_the_unit_interval(self, rng, tol):
+        with pytest.raises(GnsError, match=r"not a finite number in \(0, 1\)"):
+            build_gns(random_sequential(rng), max_len=1, tol=tol)
+
+    @pytest.mark.parametrize("max_len", [1, 2])
+    def test_cutoff_at_rounding_level_is_refused(self, max_len):
+        # pivots of order 1e-15 at a cutoff of 1e-18 overflow the factor
+        with pytest.raises(GramPropertyError, match="null-space split"):
+            null_space(model_gram(SWITCH, max_len), tol=1e-18)
 
 
 class TestFamilies:

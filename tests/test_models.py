@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import numpy as np
@@ -10,7 +11,7 @@ from causal_kernel.models import (
     load_model_obj,
     slot_prefixes,
 )
-from causal_kernel.states import ModelValidationError
+from causal_kernel.states import ModelValidationError, SequentialModel
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -146,3 +147,64 @@ class TestValidationErrors:
         }
         with pytest.raises(ModelValidationError, match="normalization"):
             load_model_obj(obj)
+
+
+def shipped_obj(name, edit):
+    """A committed model file's object after ``edit(obj)``."""
+    obj = json.loads((MODELS_DIR / f"{name}.json").read_text())
+    edit(obj)
+    return obj
+
+
+def _set(path, value):
+    def edit(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+
+    return edit
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("name, path, value, key", [
+        ("sequential_qubit", ("dim",), "abc", "dim"),
+        ("sequential_qubit", ("dim",), 2.5, "dim"),
+        ("sequential_qubit", ("dim",), True, "dim"),
+        ("sequential_qubit", ("dim",), 0, "dim"),
+        ("sequential_qubit", ("psi", 0, 0), float("nan"), r"psi\[0\]\[0\]"),
+        ("sequential_qubit", ("psi", 1, 1), float("inf"), r"psi\[1\]\[1\]"),
+        ("sequential_qubit", ("psi", 1, 1), 10**400, r"psi\[1\]\[1\]"),
+        ("switch_qubit", ("unitaries", "xy0", 0, 1, 0), float("-inf"),
+         r"unitaries.xy0\[0\]\[1\]\[0\]"),
+        ("sequential_qubit", ("symbols", "x", "factor"), "x", "symbols.x.factor"),
+        ("sequential_qubit", ("symbols", "x", "factor"), 7, "symbols.x.factor"),
+        ("fuzz_two_branch", ("branches", 0, "weight"), "w", r"branches\[0\].weight"),
+        ("fuzz_two_branch", ("branches", 1, "weight"), float("nan"),
+         r"branches\[1\].weight"),
+        ("superspacetime_two_branch", ("branches", 0, "times", 2), float("inf"),
+         r"branches\[0\].times\[2\]"),
+        ("superspacetime_two_branch", ("reference",), 5, "reference"),
+    ], ids=["dim-text", "dim-fraction", "dim-bool", "dim-zero", "psi-nan", "psi-inf",
+            "psi-huge-int", "unitary-minus-inf", "factor-text", "factor-unknown",
+            "weight-text", "weight-nan", "time-inf", "reference-not-a-list"])
+    def test_is_a_format_error_naming_the_key(self, name, path, value, key):
+        with pytest.raises(ModelFormatError, match=f"^{key}"):
+            load_model_obj(shipped_obj(name, _set(path, value)))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_json_non_finite_literals_are_refused(self, tmp_path, literal):
+        text = (MODELS_DIR / "sequential_qubit.json").read_text()
+        path = tmp_path / "model.json"
+        path.write_text(text.replace('"psi": [\n    [\n      1.0',
+                                     f'"psi": [\n    [\n      {literal}', 1))
+        assert path.read_text() != text
+        with pytest.raises(ModelFormatError, match=r"psi\[0\]\[0\]"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where", ["psi", "unitary"])
+    def test_nan_fails_the_state_checks(self, where):
+        psi = np.array([np.nan, 0.0]) if where == "psi" else np.array([1.0, 0.0])
+        u = np.full((2, 2), np.nan) if where == "unitary" else np.eye(2)
+        with pytest.raises(ModelValidationError):
+            SequentialModel(2, psi, [u])
