@@ -1,14 +1,14 @@
 """Free product of matrix *-algebras with a canonical word normal form.
 
-Each factor is a full matrix algebra ``M_d(C)`` equipped with a traceless
-hermitian basis (generalized Gell-Mann matrices by default) plus the implicit
+Each factor is a full matrix algebra ``M_d(C)`` with the generalized
+Gell-Mann matrices as its traceless hermitian basis, plus the implicit
 identity.  Elements of the free product are complex linear combinations of
 reduced words; a word is reduced when no two adjacent letters come from the
 same factor and every letter is a single traceless basis matrix.  Reduction
 merges adjacent same-factor letters by matrix product, absorbs identity
 components into shorter words, and expands the remaining traceless parts in
 the factor bases.  The resulting normal form is unique, which makes equality
-decidable and serialization canonical.
+decidable.
 
 Canonical words are stored as tuples of ``(factor, basis_index)`` pairs; the
 empty tuple is the unit word.
@@ -17,15 +17,13 @@ empty tuple is the unit word.
 from __future__ import annotations
 
 import itertools
-import json
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-STRUCT_TOL = 1e-12
 PRUNE_TOL = 1e-13
 EQ_TOL = 1e-10
-DEFAULT_MAX_WORD_LEN = 6
+MAX_WORD_LEN = 6
 
 CanonicalWord = tuple  # tuple[tuple[int, int], ...]
 
@@ -35,7 +33,7 @@ class AlgebraError(Exception):
 
 
 class FactorSpecError(AlgebraError):
-    """Invalid factor description (bad basis, bad dimension)."""
+    """Invalid factor description (bad dimension, duplicate index)."""
 
 
 class UnknownFactorError(AlgebraError):
@@ -51,14 +49,7 @@ class AlgebraMismatchError(AlgebraError):
 
 
 class WordLengthError(AlgebraError):
-    """A reduced word exceeds the configured length cap."""
-
-
-class Letter(NamedTuple):
-    """One raw letter of a word: a matrix from a named factor."""
-
-    factor: int
-    matrix: np.ndarray
+    """A reduced word exceeds the length cap ``MAX_WORD_LEN``."""
 
 
 def gell_mann_basis(dim: int) -> list[np.ndarray]:
@@ -98,54 +89,23 @@ def _as_readonly(m: np.ndarray) -> np.ndarray:
 
 
 class FactorSpec:
-    """One factor algebra: M_d(C) with a chosen traceless hermitian basis.
+    """One factor algebra: M_d(C) with the generalized Gell-Mann basis.
 
-    The basis must consist of d**2 - 1 traceless hermitian matrices that are
-    linearly independent (checked through the Gram matrix of Hilbert-Schmidt
-    inner products).  Together with the identity they then span all of M_d.
+    The d**2 - 1 basis matrices and the identity together span all of M_d.
     """
 
-    def __init__(self, index: int, dim: int, basis: Sequence[np.ndarray] | None = None):
+    def __init__(self, index: int, dim: int):
         self.index = int(index)
         self.dim = int(dim)
         if self.dim < 1:
             raise FactorSpecError(f"factor {index}: dimension must be positive")
-        if basis is None:
-            basis = gell_mann_basis(self.dim)
-        mats = tuple(_as_readonly(b) for b in basis)
-        expected = self.dim * self.dim - 1
-        if len(mats) != expected:
-            raise FactorSpecError(
-                f"factor {index}: expected {expected} basis matrices, got {len(mats)}"
-            )
-        for pos, b in enumerate(mats):
-            if b.shape != (self.dim, self.dim):
-                raise FactorSpecError(
-                    f"factor {index}: basis matrix {pos} has shape {b.shape}"
-                )
-            if abs(np.trace(b)) > STRUCT_TOL:
-                raise FactorSpecError(
-                    f"factor {index}: basis matrix {pos} is not traceless "
-                    f"(|tr| = {abs(np.trace(b)):.3e})"
-                )
-            if np.max(np.abs(b - b.conj().T)) > STRUCT_TOL:
-                raise FactorSpecError(
-                    f"factor {index}: basis matrix {pos} is not hermitian"
-                )
-        self.basis = mats
+        self.basis = tuple(_as_readonly(b) for b in gell_mann_basis(self.dim))
         # the basis matrices followed by the identity, for batched lookups
-        self.basis_stack = _as_readonly(np.stack(mats + (np.eye(self.dim),)))
+        self.basis_stack = _as_readonly(np.stack(self.basis + (np.eye(self.dim),)))
         # flat @ m.ravel() lists tr(B_k^dagger m); the dual map, the inverse
         # basis Gram matrix times flat, gives the basis coefficients of m
-        flat = self.basis_stack[:-1].reshape(expected, self.dim * self.dim).conj()
-        self._dual = flat
-        if expected:
-            gram = flat @ flat.conj().T
-            if np.linalg.cond(gram) > 1e12:
-                raise FactorSpecError(
-                    f"factor {index}: basis matrices are not linearly independent"
-                )
-            self._dual = np.linalg.inv(gram) @ flat
+        flat = self.basis_stack[:-1].reshape(len(self.basis), self.dim**2).conj()
+        self._dual = np.linalg.inv(flat @ flat.conj().T) @ flat
         self._identity = _as_readonly(np.eye(self.dim))
         self._product_cache: dict[tuple[int, int], tuple[complex, np.ndarray]] = {}
 
@@ -274,14 +234,16 @@ class FreeElement:
         return "FreeElement(" + " + ".join(parts) + ")"
 
 
+def _too_long(kind: str, length: int) -> WordLengthError:
+    return WordLengthError(
+        f"{kind} word of length {length} exceeds the cap {MAX_WORD_LEN}"
+    )
+
+
 class FreeAlgebra:
     """A registered family of factors and the operations of their free product."""
 
-    def __init__(
-        self,
-        factors: Iterable[FactorSpec],
-        max_word_len: int = DEFAULT_MAX_WORD_LEN,
-    ):
+    def __init__(self, factors: Iterable[FactorSpec]):
         self._factors: dict[int, FactorSpec] = {}
         for spec in factors:
             if spec.index in self._factors:
@@ -290,7 +252,7 @@ class FreeAlgebra:
         if not self._factors:
             raise FactorSpecError("at least one factor is required")
         self.factor_indices = tuple(sorted(self._factors))
-        self.max_word_len = int(max_word_len)
+        self.max_word_len = MAX_WORD_LEN
 
     def factor(self, index: int) -> FactorSpec:
         try:
@@ -317,17 +279,10 @@ class FreeAlgebra:
     def unit(self) -> FreeElement:
         return FreeElement(self, {(): 1.0 + 0j})
 
-    def basis_letter(self, factor: int, basis_index: int) -> FreeElement:
-        spec = self.factor(factor)
-        if not 0 <= basis_index < len(spec.basis):
-            raise UnknownFactorError(
-                f"factor {factor} has no basis index {basis_index}"
-            )
-        return FreeElement(self, {((factor, basis_index),): 1.0 + 0j})
-
-    def _reduced_word(self, word: Iterable) -> CanonicalWord:
-        """``word`` as a canonical word, after checking that every letter names
-        a registered basis matrix and no two adjacent letters share a factor."""
+    def word_element(self, word: CanonicalWord, coeff: complex = 1.0) -> FreeElement:
+        """Element for a single canonical word, after checking that every letter
+        names a registered basis matrix and no two adjacent letters share a
+        factor."""
         word = tuple((int(f), int(k)) for f, k in word)
         prev = None
         for f, k in word:
@@ -336,11 +291,7 @@ class FreeAlgebra:
             if prev == f:
                 raise AlgebraError(f"word is not reduced at factor {f}")
             prev = f
-        return word
-
-    def word_element(self, word: CanonicalWord, coeff: complex = 1.0) -> FreeElement:
-        """Element for a single canonical word; the word is validated."""
-        return self._make({self._reduced_word(word): complex(coeff)})
+        return self._make({word: complex(coeff)})
 
     def embed(self, factor: int, m: np.ndarray) -> FreeElement:
         """Image of a factor matrix in the free product, in canonical form."""
@@ -359,7 +310,7 @@ class FreeAlgebra:
 
     def normalize(
         self,
-        letters: Iterable[Letter | tuple[int, np.ndarray]],
+        letters: Iterable[tuple[int, np.ndarray]],
         coeff: complex = 1.0,
         rng: np.random.Generator | None = None,
     ) -> FreeElement:
@@ -426,10 +377,7 @@ class FreeAlgebra:
     def _expand_traceless(self, letters: list, coeff: complex, out: dict) -> None:
         """Expand a merged, traceless word over the factor bases."""
         if len(letters) > self.max_word_len:
-            raise WordLengthError(
-                f"reduced word of length {len(letters)} exceeds the cap "
-                f"{self.max_word_len}"
-            )
+            raise _too_long("reduced", len(letters))
         options: list[list[tuple[tuple[int, int], complex]]] = []
         for f, m in letters:
             _, coeffs = self._factors[f].expand(m)
@@ -477,10 +425,7 @@ class FreeAlgebra:
             if not l or not r or l[-1][0] != r[0][0]:
                 w = l + r
                 if len(w) > self.max_word_len:
-                    raise WordLengthError(
-                        f"product word of length {len(w)} exceeds the cap "
-                        f"{self.max_word_len}"
-                    )
+                    raise _too_long("product", len(w))
                 out[w] = out.get(w, 0j) + c
                 continue
             f = l[-1][0]
@@ -492,10 +437,7 @@ class FreeAlgebra:
                 if abs(ck) > PRUNE_TOL:
                     w = l[:-1] + ((f, k),) + r[1:]
                     if len(w) > self.max_word_len:
-                        raise WordLengthError(
-                            f"product word of length {len(w)} exceeds the cap "
-                            f"{self.max_word_len}"
-                        )
+                        raise _too_long("product", len(w))
                     out[w] = out.get(w, 0j) + c * ck
         return out
 
@@ -571,31 +513,3 @@ def induced_hom(
         out += coeff * prod
     return out
 
-
-# ----------------------------------------------------------------------
-# canonical JSON serialization
-
-def element_to_obj(element: FreeElement) -> list:
-    """Canonical JSON object: sorted list of {coeff: [re, im], word: [[f, k], ...]}."""
-    out = []
-    for word in sorted(element._terms, key=word_sort_key):
-        c = element._terms[word]
-        out.append({"coeff": [c.real, c.imag], "word": [[f, k] for f, k in word]})
-    return out
-
-
-def element_from_obj(algebra: FreeAlgebra, obj: Sequence[Mapping]) -> FreeElement:
-    terms: dict = {}
-    for entry in obj:
-        re, im = entry["coeff"]
-        word = algebra._reduced_word(entry["word"])
-        terms[word] = terms.get(word, 0j) + complex(float(re), float(im))
-    return FreeElement(algebra, terms)
-
-
-def element_to_json(element: FreeElement) -> str:
-    return json.dumps(element_to_obj(element), separators=(",", ":"))
-
-
-def element_from_json(algebra: FreeAlgebra, text: str) -> FreeElement:
-    return element_from_obj(algebra, json.loads(text))

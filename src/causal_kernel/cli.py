@@ -2,10 +2,10 @@
 
 Subcommands: eval, gram, gns, verify, demo-switch, demo-fuzz.  Output is
 deterministic for a fixed seed; JSON is emitted with sorted keys.  Exit
-codes: 0 success, 1 verification failure, 2 expression parse error or
-command-line usage error (including a flag the subcommand does not take),
-3 model validation error, 4 dimension mismatch, 5 refusal by gns or gram
-(word-length cap or word-basis size limit).  Diagnostics go to standard error;
+codes: 0 success, 1 verification failure, 2 expression parse error, eval
+value not finite, or usage error (including a flag the subcommand does not
+take), 3 model validation error, 4 dimension mismatch, 5 refusal by gns or
+gram (word-length cap or word-basis size limit).  Diagnostics go to stderr;
 the environment variable CAUSAL_KERNEL_LOG (DEBUG, INFO, WARNING) controls
 log verbosity.
 """
@@ -60,6 +60,9 @@ def _cmd_eval(args) -> int:
     elem_b = eval_expr(ast_b, model.symbols, model.algebra)
     elem_a = eval_expr(ast_a, model.symbols, model.algebra)
     value = model.state.eval_bilinear(elem_b, elem_a)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        sys.stderr.write(f"eval error: omega(b, a) = {value} is not finite\n")
+        return EXIT_PARSE_ERROR
     if args.format == "pretty":
         sys.stdout.write(f"omega(b, a) = {value.real:.12g} {value.imag:+.12g}i\n")
     else:

@@ -393,7 +393,8 @@ def build_gns(
     max_len: int | None = None,
     tol: float = NULL_TOL,
 ) -> GnsResult:
-    """Run the full pipeline; representation steps run only when permitted.
+    """Run the full pipeline; representation steps run only when permitted:
+    the left-ideal check passes and ``max_len >= 2``.
 
     ``max_len`` defaults to ``default_max_len(state.algebra)``.  ``tol`` is
     both the relative null-space cutoff and the left-ideal tolerance.
@@ -423,7 +424,9 @@ def build_gns(
     ns = null_space(g, tol=tol)
     report = check_left_ideal(state, basis, ns)
     letter_reps = None
-    if report.passed(tol):
+    # at max_len 1 the domain is the unit word alone: the left-ideal check
+    # evaluates no pair and a reconstruction compares omega(e, e) with itself
+    if max_len >= 2 and report.passed(tol):
         letter_reps = {
             letter: represent(state, basis, ns, report, letter, tol=tol)
             for letter in state.algebra.generator_letters()

@@ -115,7 +115,7 @@ def _auto_symbols(state: GeneralizedState, family: str) -> dict[str, FreeElement
     for prefix, factor in zip(prefixes, state.slots):
         n = len(state.algebra.factor(factor).basis)
         for k in range(n):
-            out[f"{prefix}{k + 1}"] = state.algebra.basis_letter(factor, k)
+            out[f"{prefix}{k + 1}"] = state.algebra.word_element(((factor, k),))
     return out
 
 

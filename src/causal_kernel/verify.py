@@ -38,7 +38,7 @@ DEFAULT_TOLERANCES = {
 
 
 def _axiom_suite(state: GeneralizedState, rng: np.random.Generator, samples: int):
-    unit_violation = abs(state.eval_words((), ()) - 1.0)
+    unit_violation = state.unit_check()
     pos_violation = 0.0
     for _ in range(samples):
         a = random_element(rng, state.algebra, max_len=3, max_terms=3)
@@ -102,6 +102,11 @@ def verify_state(
     rng = np.random.default_rng(seed)
     tolerances = dict(DEFAULT_TOLERANCES)
     if tolerance_override is not None:
+        # inf would pass every suite, and nan or a negative value fail every
+        # suite, whatever the state
+        if not 0 <= tolerance_override < np.inf:
+            raise ValueError(f"tolerance_override {tolerance_override!r} "
+                             "is not a finite number >= 0")
         tolerances = {k: float(tolerance_override) for k in tolerances}
 
     unit_v, pos_v = _axiom_suite(state, rng, axiom_samples)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from causal_kernel.algebra import (
+    AlgebraError,
     AlgebraMismatchError,
     DimensionMismatchError,
     FactorSpec,
@@ -9,9 +10,6 @@ from causal_kernel.algebra import (
     FreeAlgebra,
     UnknownFactorError,
     WordLengthError,
-    element_from_json,
-    element_to_json,
-    element_to_obj,
     gell_mann_basis,
     induced_hom,
     word_sort_key,
@@ -60,32 +58,19 @@ class TestGellMannBasis:
 
 
 class TestFactorSpec:
-    def test_rejects_non_traceless_basis(self):
-        bad = [SX, SY, I2]
-        with pytest.raises(FactorSpecError, match="traceless"):
-            FactorSpec(1, 2, bad)
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_rejects_nonpositive_dimension(self, dim):
+        with pytest.raises(FactorSpecError, match="dimension must be positive"):
+            FactorSpec(1, dim)
 
-    def test_rejects_non_hermitian_basis(self):
-        bad = [SX, SY, np.array([[0, 1], [0, 0]], dtype=complex)]
-        with pytest.raises(FactorSpecError, match="hermitian"):
-            FactorSpec(1, 2, bad)
-
-    def test_rejects_dependent_basis(self):
-        bad = [SX, SY, SX]
-        with pytest.raises(FactorSpecError, match="independent"):
-            FactorSpec(1, 2, bad)
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(FactorSpecError, match="expected 3"):
-            FactorSpec(1, 2, [SX, SY])
-
-    def test_custom_non_orthogonal_basis_expands_exactly(self, rng):
-        basis = [SX, SY, SZ + 0.5 * SX]
-        spec = FactorSpec(1, 2, basis)
-        m = random_matrix(rng, 2)
-        alpha, coeffs = spec.expand(m)
-        rebuilt = alpha * I2 + sum(c * b for c, b in zip(coeffs, basis))
-        np.testing.assert_allclose(rebuilt, m, atol=1e-12)
+    def test_expand_is_exact(self, rng):
+        for dim in (1, 2, 3, 4):
+            spec = FactorSpec(1, dim)
+            m = random_matrix(rng, dim)
+            alpha, coeffs = spec.expand(m)
+            rebuilt = alpha * np.eye(dim) + sum(
+                (c * b for c, b in zip(coeffs, spec.basis)), np.zeros((dim, dim)))
+            np.testing.assert_allclose(rebuilt, m, atol=1e-12)
 
 
 class TestUnitAndEmbed:
@@ -133,6 +118,10 @@ class TestUnitAndEmbed:
         with pytest.raises(UnknownFactorError):
             qubit_pair_algebra.embed(9, I2)
 
+    def test_word_element_rejects_unreduced_word(self, qubit_pair_algebra):
+        with pytest.raises(AlgebraError, match="not reduced"):
+            qubit_pair_algebra.word_element(((1, 0), (1, 1)))
+
 
 class TestNormalize:
     def test_square_of_pauli_is_unit(self, qubit_pair_algebra):
@@ -174,11 +163,13 @@ class TestNormalize:
                 other = alg.normalize(raw, coeff, rng=rng)
                 assert baseline.isclose(other), f"case {case} diverged"
 
-    def test_word_length_cap(self):
-        alg = FreeAlgebra([FactorSpec(1, 2), FactorSpec(2, 2)], max_word_len=3)
-        raw = [(1, SX), (2, SY), (1, SZ), (2, SX)]
-        with pytest.raises(WordLengthError):
-            alg.normalize(raw)
+    def test_word_length_cap(self, qubit_pair_algebra):
+        # seven alternating traceless letters reduce to a word of length 7,
+        # one above the cap of 6
+        raw = [(1 + i % 2, SX) for i in range(7)]
+        assert len(qubit_pair_algebra.normalize(raw[:6]).terms) == 1
+        with pytest.raises(WordLengthError, match="cap 6"):
+            qubit_pair_algebra.normalize(raw)
 
 
 class TestArithmetic:
@@ -315,27 +306,6 @@ class TestInducedHom:
         targets = {1: [SX, SY, SZ], 2: [np.eye(3)] * 3}
         with pytest.raises(DimensionMismatchError):
             induced_hom(qubit_pair_algebra.unit() + qubit_pair_algebra.embed(1, SX), targets)
-
-
-class TestSerialization:
-    def test_canonical_object_is_sorted(self, qubit_pair_algebra, rng):
-        el = random_element(rng, qubit_pair_algebra, max_len=3, max_terms=5)
-        obj = element_to_obj(el)
-        keys = [tuple(map(tuple, entry["word"])) for entry in obj]
-        assert keys == sorted(keys, key=word_sort_key)
-
-    def test_round_trip_is_bit_exact(self, qubit_pair_algebra, rng):
-        for _ in range(20):
-            el = random_element(rng, qubit_pair_algebra, max_len=3, max_terms=5)
-            text = element_to_json(el)
-            back = element_from_json(qubit_pair_algebra, text)
-            assert back.terms == el.terms  # exact, not approximate
-            assert element_to_json(back) == text
-
-    def test_rejects_unreduced_word(self, qubit_pair_algebra):
-        text = '[{"coeff":[1.0,0.0],"word":[[1,0],[1,1]]}]'
-        with pytest.raises(Exception, match="not reduced"):
-            element_from_json(qubit_pair_algebra, text)
 
 
 class TestWordEnumeration:

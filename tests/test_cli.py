@@ -105,6 +105,16 @@ class TestModelErrors:
         assert (code, out) == (2, "")
         assert err.startswith("1:1: ")
 
+    # finite literals whose product overflows: inf, and inf * 0 = nan
+    @pytest.mark.parametrize("b, a", [("1e200", "1e200"), ("1e200*1e200", "1")])
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_non_finite_value_exits_2(self, capsys, b, a, fmt):
+        code, out, err = run(capsys, "eval", "--model", SEQ, "--b", b, "--a", a,
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("eval error: ") and err.endswith("is not finite\n")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_valid_model_exits_0(self, capsys):
@@ -171,6 +181,15 @@ class TestGramAndGns:
         report = json.loads(run(capsys, "gns", "--model", SEQ, "--max-len", "2")[1])
         assert lines["reconstructionMaxError"] == "null"
         assert {k: json.loads(v) for k, v in lines.items()} == report
+
+    @pytest.mark.parametrize("model", [SEQ, SWITCH])
+    def test_gns_max_len_one_reports_no_reconstruction(self, capsys, model):
+        # the domain is the unit word alone: nothing to reconstruct
+        code, out, _ = run(capsys, "gns", "--model", model, "--max-len", "1")
+        report = json.loads(out)
+        assert code == 0
+        assert report["leftIdealEvaluatedPairs"] == 0
+        assert report["reconstructionMaxError"] is None
 
     @pytest.mark.parametrize("argv", [
         ("gns", "--max-len", "-1"),

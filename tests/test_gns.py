@@ -426,6 +426,20 @@ class TestRepresentationBacked:
         ]
         assert max(gaps) > 1e-6
 
+    def test_letter_matrices_need_max_len_two(self, rng):
+        # at max_len 1 the domain is the unit word alone: the left-ideal
+        # check evaluates no pair and the reconstruction would compare
+        # omega(e, e) with itself, so no letter matrix is built
+        state = representation_backed_state(rng)
+        low = build_gns(state, max_len=1)
+        assert low.left_ideal.evaluated_pairs == 0
+        assert low.letter_reps is None
+        assert low.reconstruction_error is None
+        assert report_obj(low)["reconstructionMaxError"] is None
+        high = build_gns(state, max_len=2)
+        assert set(high.letter_reps) == set(state.algebra.generator_letters())
+        assert high.reconstruction_error <= 1e-7
+
     def test_out_of_domain_word_is_an_error(self, rng):
         state = representation_backed_state(rng)
         result = build_gns(state, max_len=2)
@@ -511,7 +525,9 @@ class TestFamilies:
 
 def staged_report(state, max_len):
     """``build_gns``'s stages called one at a time, in the order and with the
-    arguments of the benchmark's traced op (``perfbench/workloads.py``)."""
+    arguments of the benchmark's traced op (``perfbench/workloads.py``).
+    Like that op, it mirrors ``build_gns`` only for ``max_len >= 2``: it does
+    not skip the letter matrices at ``max_len`` 1."""
     basis = WordBasis.build(state.algebra, max_len)
     g = gram(state, basis)
     ns = null_space(g)
