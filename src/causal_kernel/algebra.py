@@ -24,6 +24,11 @@ import numpy as np
 PRUNE_TOL = 1e-13
 EQ_TOL = 1e-10
 MAX_WORD_LEN = 6
+# building a factor's tables holds about eight d**2 x d**2 complex arrays at
+# once (the basis, its copies and stack, the conjugated flat view, its Gram
+# matrix, the inverse and the dual map): 128 * d**4 bytes, capped at the
+# 1 GiB that also caps a dense Gram matrix
+MAX_TABLE_BYTES = 2**30
 
 CanonicalWord = tuple  # tuple[tuple[int, int], ...]
 
@@ -99,6 +104,13 @@ class FactorSpec:
         self.dim = int(dim)
         if self.dim < 1:
             raise FactorSpecError(f"factor {index}: dimension must be positive")
+        table_bytes = 128 * self.dim**4
+        if table_bytes > MAX_TABLE_BYTES:
+            raise FactorSpecError(
+                f"factor {index}: dimension {self.dim} needs about "
+                f"{table_bytes / 2**30:.1f} GiB of basis tables, over the limit "
+                f"of {MAX_TABLE_BYTES / 2**30:g} GiB"
+            )
         self.basis = tuple(_as_readonly(b) for b in gell_mann_basis(self.dim))
         # the basis matrices followed by the identity, for batched lookups
         self.basis_stack = _as_readonly(np.stack(self.basis + (np.eye(self.dim),)))

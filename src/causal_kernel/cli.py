@@ -4,10 +4,11 @@ Subcommands: eval, gram, gns, verify, demo-switch, demo-fuzz.  Output is
 deterministic for a fixed seed; JSON is emitted with sorted keys.  Exit
 codes: 0 success, 1 verification failure, 2 expression parse error, eval
 value not finite, or usage error (including a flag the subcommand does not
-take), 3 model validation error, 4 dimension mismatch, 5 refusal by gns or
-gram (word-length cap or word-basis size limit).  Diagnostics go to stderr;
-the environment variable CAUSAL_KERNEL_LOG (DEBUG, INFO, WARNING) controls
-log verbosity.
+take), 3 model validation error, 4 dimension error (a mismatch, a product
+over the word-length cap, or a factor too large to tabulate), 5 refusal by
+gns or gram (word-length cap or word-basis size limit).  Diagnostics go to
+stderr; the environment variable CAUSAL_KERNEL_LOG (DEBUG, INFO, WARNING)
+controls log verbosity.
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ def _number_where(kind, ok, what: str):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
+    parse.__name__ = kind.__name__  # argparse names it: "invalid int value"
     return parse
 
 
@@ -193,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = command("verify", _cmd_verify, "run the randomized verification suites",
                        formats=())
-    p_verify.add_argument("--seed", type=int, default=42,
+    p_verify.add_argument("--seed", default=42,
+                          type=_number_where(int, lambda n: n >= 0, "an integer >= 0"),
                           help="seed for the randomized suites (default 42)")
     p_verify.add_argument("--tol", default=None,
                           type=_number_where(float, lambda t: 0 <= t < math.inf,

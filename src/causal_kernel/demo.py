@@ -25,9 +25,30 @@ _SEGMENTS = {
     "vy1": _T, "yx1": _H, "xu1": _S,
 }
 
+# the six segments as the two weight-1 fuzz branches: control 0 runs
+# yu0, y, xy0, x, vx0 and control 1 runs xu1, x, yx1, y, vy1
+_BRANCHES = (
+    FuzzBranch(1.0, "yx", pre=_SEGMENTS["yu0"], mid=_SEGMENTS["xy0"],
+               post=_SEGMENTS["vx0"]),
+    FuzzBranch(1.0, "xy", pre=_SEGMENTS["xu1"], mid=_SEGMENTS["yx1"],
+               post=_SEGMENTS["vy1"]),
+)
+
 
 def _c(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
+
+
+def _row(key: str, label: str, name: str, value: complex, reference: complex) -> dict:
+    """One demo row: ``value`` under ``name`` beside its reference."""
+    difference = float(abs(value - reference))
+    return {
+        key: label,
+        name: _c(value),
+        "reference": _c(reference),
+        "difference": difference,
+        "ok": difference <= 1e-10,
+    }
 
 
 def _switch_with_control(control: np.ndarray) -> SwitchModel:
@@ -37,6 +58,12 @@ def _switch_with_control(control: np.ndarray) -> SwitchModel:
         _SEGMENTS["vx0"], _SEGMENTS["xy0"], _SEGMENTS["yu0"],
         _SEGMENTS["vy1"], _SEGMENTS["yx1"], _SEGMENTS["xu1"],
     )
+
+
+def _omega_xy(model: FuzzModel, x: np.ndarray, y: np.ndarray) -> complex:
+    """omega(e, x*y) with x in slot 1 and y in slot 2."""
+    algebra = model.algebra
+    return model.eval_bilinear(algebra.unit(), algebra.embed(1, x) * algebra.embed(2, y))
 
 
 def _fixed_order_value(order: str, x: np.ndarray, y: np.ndarray) -> complex:
@@ -59,25 +86,15 @@ def demo_switch_report() -> dict:
     references = {"yx": _fixed_order_value("yx", x_mat, y_mat),
                   "xy": _fixed_order_value("xy", x_mat, y_mat)}
     controls = [("|0>", _KET0), ("|1>", _KET1), ("(|0>+|1>)/sqrt2", _PLUS)]
-    values = {}
     for label, control in controls:
-        model = _switch_with_control(control)
-        word = model.algebra.embed(1, x_mat) * model.algebra.embed(2, y_mat)
-        value = model.eval_bilinear(model.algebra.unit(), word)
-        values[label] = value
+        value = _omega_xy(_switch_with_control(control), x_mat, y_mat)
         if label == "|0>":
             reference = references["yx"]
         elif label == "|1>":
             reference = references["xy"]
         else:
             reference = 0.5 * (references["yx"] + references["xy"])
-        rows.append({
-            "control": label,
-            "omega": _c(value),
-            "reference": _c(reference),
-            "difference": float(abs(value - reference)),
-            "ok": bool(abs(value - reference) <= 1e-10),
-        })
+        rows.append(_row("control", label, "omega", value, reference))
     # amplitude branch linearity: superposed control = weighted branch sum
     sup = _switch_with_control(_PLUS)
     m0 = _switch_with_control(_KET0)
@@ -86,13 +103,7 @@ def demo_switch_report() -> dict:
     args = (phi, x_mat, y_mat, np.eye(4), np.eye(4))
     lhs = sup.amplitude(*args)
     rhs = (m0.amplitude(*args) + m1.amplitude(*args)) / np.sqrt(2.0)
-    rows.append({
-        "control": "branch-linearity",
-        "omega": _c(lhs),
-        "reference": _c(rhs),
-        "difference": float(abs(lhs - rhs)),
-        "ok": bool(abs(lhs - rhs) <= 1e-10),
-    })
+    rows.append(_row("control", "branch-linearity", "omega", lhs, rhs))
     return {"demo": "switch", "rows": rows}
 
 
@@ -101,35 +112,15 @@ def demo_fuzz_report() -> dict:
     x_mat, y_mat = _X, np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     rows = []
 
-    single = FuzzModel(
-        2, _KET0,
-        [FuzzBranch(1.0, "yx", pre=_SEGMENTS["yu0"], mid=_SEGMENTS["xy0"],
-                    post=_SEGMENTS["vx0"])],
-    )
-    fixed = _switch_with_control(_KET0)
-    word_s = single.algebra.embed(1, x_mat) * single.algebra.embed(2, y_mat)
-    word_f = fixed.algebra.embed(1, x_mat) * fixed.algebra.embed(2, y_mat)
-    val_single = single.eval_bilinear(single.algebra.unit(), word_s)
-    val_fixed = fixed.eval_bilinear(fixed.algebra.unit(), word_f)
-    rows.append({
-        "check": "single-branch equals concentrated-control model",
-        "fuzz": _c(val_single),
-        "reference": _c(val_fixed),
-        "difference": float(abs(val_single - val_fixed)),
-        "ok": bool(abs(val_single - val_fixed) <= 1e-10),
-    })
+    single = FuzzModel(2, _KET0, _BRANCHES[:1])
+    val_single = _omega_xy(single, x_mat, y_mat)
+    val_fixed = _omega_xy(_switch_with_control(_KET0), x_mat, y_mat)
+    rows.append(_row("check", "single-branch equals concentrated-control model",
+                     "fuzz", val_single, val_fixed))
 
-    sup = _switch_with_control(_PLUS)
-    two = sup.as_fuzz()
-    word_t = two.algebra.embed(1, x_mat) * two.algebra.embed(2, y_mat)
-    word_w = sup.algebra.embed(1, x_mat) * sup.algebra.embed(2, y_mat)
-    val_two = two.eval_bilinear(two.algebra.unit(), word_t)
-    val_sw = sup.eval_bilinear(sup.algebra.unit(), word_w)
-    rows.append({
-        "check": "two weight-1 branches reproduce the control superposition",
-        "fuzz": _c(val_two),
-        "reference": _c(val_sw),
-        "difference": float(abs(val_two - val_sw)),
-        "ok": bool(abs(val_two - val_sw) <= 1e-10),
-    })
+    two = FuzzModel(2, np.kron(_PLUS, _KET0), _BRANCHES)
+    val_two = _omega_xy(two, x_mat, y_mat)
+    val_sw = _omega_xy(_switch_with_control(_PLUS), x_mat, y_mat)
+    rows.append(_row("check", "two weight-1 branches reproduce the control superposition",
+                     "fuzz", val_two, val_sw))
     return {"demo": "fuzz", "rows": rows}

@@ -102,16 +102,19 @@ def slot_prefixes(family: str, n_slots: int) -> tuple[str, ...]:
 class LoadedModel:
     state: GeneralizedState
     symbols: dict
-    family: str
+
+    @property
+    def family(self) -> str:
+        return self.state.family
 
     @property
     def algebra(self):
         return self.state.algebra
 
 
-def _auto_symbols(state: GeneralizedState, family: str) -> dict[str, FreeElement]:
+def _auto_symbols(state: GeneralizedState) -> dict[str, FreeElement]:
     out: dict[str, FreeElement] = {}
-    prefixes = slot_prefixes(family, len(state.slots))
+    prefixes = slot_prefixes(state.family, len(state.slots))
     for prefix, factor in zip(prefixes, state.slots):
         n = len(state.algebra.factor(factor).basis)
         for k in range(n):
@@ -219,7 +222,9 @@ def _load_superspacetime(obj: dict) -> GeneralizedState:
         if (
             not isinstance(permutation, (list, tuple))
             or len(permutation) != 2
-            or not all(isinstance(p, int) for p in permutation)
+            or not all(
+                isinstance(p, int) and not isinstance(p, bool) for p in permutation
+            )
         ):
             raise ModelFormatError(f"{where}.permutation: expected two integers")
         hams = _require(entry, "hamiltonians", where)
@@ -241,7 +246,7 @@ def _load_superspacetime(obj: dict) -> GeneralizedState:
                 ),
             )
         )
-    return SuperspacetimeModel(dim, reference, target_psi, branches).to_fuzz()
+    return SuperspacetimeModel(dim, reference, target_psi, branches)
 
 
 _LOADERS = {
@@ -272,9 +277,9 @@ def load_model_obj(obj: dict) -> LoadedModel:
             f"phiBasis: only \"full\" is supported, got {phi_basis!r}"
         )
     state = loader(obj)
-    symbols = _auto_symbols(state, family)
+    symbols = _auto_symbols(state)
     symbols.update(_user_symbols(state, obj.get("symbols")))
-    return LoadedModel(state=state, symbols=symbols, family=family)
+    return LoadedModel(state=state, symbols=symbols)
 
 
 def load_model(path: str | os.PathLike) -> LoadedModel:

@@ -283,7 +283,6 @@ class FuzzModel(GeneralizedState):
         dim: int,
         psi: np.ndarray,
         branches: Sequence[FuzzBranch],
-        family: str | None = None,
     ):
         dim = int(dim)
         branches = tuple(branches)
@@ -313,16 +312,10 @@ class FuzzModel(GeneralizedState):
         self.control_dim = len(checked)
         total = self.control_dim * dim
         self.psi = _check_state_vector("psi", psi, total)
-        if family is not None:
-            self.family = family
-        algebra = FreeAlgebra(
-            [
-                FactorSpec(1, dim),
-                FactorSpec(2, dim),
-                FactorSpec(3, total),
-                FactorSpec(4, total),
-            ]
-        )
+        # the control factors first: their tables are the largest, so an
+        # oversized model is refused before any target table is built
+        control = [FactorSpec(3, total), FactorSpec(4, total)]
+        algebra = FreeAlgebra([FactorSpec(1, dim), FactorSpec(2, dim), *control])
         super().__init__(algebra, (1, 2, 3, 4))
         norm_err = self.unit_check()
         if not norm_err <= UNIT_OMEGA_TOL:
@@ -379,23 +372,15 @@ class SwitchModel(FuzzModel):
         u_xu1: np.ndarray,
     ):
         branches = (
-            FuzzBranch(1.0, "yx", pre=np.asarray(u_yu0, dtype=complex),
-                       mid=np.asarray(u_xy0, dtype=complex),
-                       post=np.asarray(u_vx0, dtype=complex)),
-            FuzzBranch(1.0, "xy", pre=np.asarray(u_xu1, dtype=complex),
-                       mid=np.asarray(u_yx1, dtype=complex),
-                       post=np.asarray(u_vy1, dtype=complex)),
+            FuzzBranch(1.0, "yx", pre=u_yu0, mid=u_xy0, post=u_vx0),
+            FuzzBranch(1.0, "xy", pre=u_xu1, mid=u_yx1, post=u_vy1),
         )
         super().__init__(dim, psi, branches)
-
-    def as_fuzz(self) -> FuzzModel:
-        """The same evaluator presented as a plain two-branch FuzzModel."""
-        return FuzzModel(self.dim, self.psi, self.branches)
 
 
 # ----------------------------------------------------------------------
 # superspacetime family: branches defined by evolution segments on a
-# reference set, converted into a FuzzModel
+# reference set, evaluated as a weight-1 FuzzModel
 
 @dataclass(frozen=True)
 class SuperspacetimeBranch:
@@ -421,15 +406,18 @@ def _evolution(h: np.ndarray, t: float) -> np.ndarray:
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
-class SuperspacetimeModel:
+class SuperspacetimeModel(FuzzModel):
     """A reference set with per-branch point identifications and dynamics.
 
     The reference set carries the two operator insertion points (the first
     maps to the x slot, the second to the y slot).  Each branch places them
     in a temporal order via its identification permutation and evolves with
-    ``exp(-i H t)`` per segment; branch amplitudes populate the control part
-    of the derived state vector.
+    ``exp(-i H t)`` per segment; it becomes a weight-1 fuzz branch, and the
+    normalized branch amplitudes form the control part of the state vector
+    ``amplitudes (x) target_psi``.
     """
+
+    family = "superspacetime"
 
     def __init__(
         self,
@@ -438,16 +426,16 @@ class SuperspacetimeModel:
         target_psi: np.ndarray,
         branches: Sequence[SuperspacetimeBranch],
     ):
-        self.dim = int(dim)
-        self.reference = tuple(reference)
-        if len(self.reference) != 2:
+        dim = int(dim)
+        if len(tuple(reference)) != 2:
             raise ModelValidationError(
                 "the reference set must name exactly two insertion points"
             )
-        self.target_psi = _check_state_vector("target_psi", target_psi, self.dim)
+        target_psi = _check_state_vector("target_psi", target_psi, dim)
         branches = tuple(branches)
         if not branches:
             raise ModelValidationError("at least one branch is required")
+        fuzz_branches = []
         for i, br in enumerate(branches):
             if tuple(sorted(br.permutation)) != (0, 1):
                 raise ModelValidationError(
@@ -458,9 +446,10 @@ class SuperspacetimeModel:
                 raise ModelValidationError(
                     f"branch {i}: exactly three evolution segments are required"
                 )
-            for j, h in enumerate(br.hamiltonians):
+            segs = []
+            for j, (h, t) in enumerate(zip(br.hamiltonians, br.durations)):
                 h = np.asarray(h, dtype=complex)
-                if h.shape != (self.dim, self.dim):
+                if h.shape != (dim, dim):
                     raise ModelValidationError(
                         f"branch {i} segment {j}: hamiltonian has shape {h.shape}"
                     )
@@ -468,24 +457,11 @@ class SuperspacetimeModel:
                     raise ModelValidationError(
                         f"branch {i} segment {j}: hamiltonian is not hermitian"
                     )
+                segs.append(_evolution(h, float(t)))
+            order = "yx" if br.permutation[0] == 1 else "xy"
+            fuzz_branches.append(FuzzBranch(1.0, order, *segs))
         amps = np.array([complex(br.amplitude) for br in branches])
         norm = np.linalg.norm(amps)
         if not norm > 1e-12:
             raise ModelValidationError("branch amplitude vector is not normalizable")
-        self.branches = branches
-        self._control = amps / norm
-
-    def to_fuzz(self) -> FuzzModel:
-        """Build the derived evaluator: segment unitaries plus amplitude state."""
-        fuzz_branches = []
-        for br in self.branches:
-            segs = [
-                _evolution(np.asarray(h, dtype=complex), float(t))
-                for h, t in zip(br.hamiltonians, br.durations)
-            ]
-            order = "yx" if br.permutation[0] == 1 else "xy"
-            fuzz_branches.append(
-                FuzzBranch(1.0, order, pre=segs[0], mid=segs[1], post=segs[2])
-            )
-        psi = np.kron(self._control, self.target_psi)
-        return FuzzModel(self.dim, psi, fuzz_branches, family="superspacetime")
+        super().__init__(dim, np.kron(amps / norm, target_psi), fuzz_branches)

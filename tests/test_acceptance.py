@@ -63,7 +63,7 @@ def _family_models(rng):
         "sequential": random_sequential(rng, dim=2),
         "switch": random_switch(rng, dim=2),
         "fuzz": random_fuzz(rng, dim=2, n_branches=2),
-        "superspacetime": random_superspacetime(rng, dim=2, n_branches=2).to_fuzz(),
+        "superspacetime": random_superspacetime(rng, dim=2, n_branches=2),
     }
 
 

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from causal_kernel import algebra
 from causal_kernel.algebra import (
     AlgebraError,
     AlgebraMismatchError,
@@ -62,6 +65,19 @@ class TestFactorSpec:
     def test_rejects_nonpositive_dimension(self, dim):
         with pytest.raises(FactorSpecError, match="dimension must be positive"):
             FactorSpec(1, dim)
+
+    def test_oversized_dimension_is_refused_before_allocating(self):
+        # dimension 100 would need about 12 GiB of tables
+        t0 = time.perf_counter()
+        with pytest.raises(FactorSpecError, match="dimension 100 .* limit of 1 GiB"):
+            FactorSpec(3, 100)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_table_limit_boundary(self, monkeypatch):
+        monkeypatch.setattr(algebra, "MAX_TABLE_BYTES", 128 * 3**4)
+        assert FactorSpec(1, 3).dim == 3
+        with pytest.raises(FactorSpecError, match="dimension 4"):
+            FactorSpec(1, 4)
 
     def test_expand_is_exact(self, rng):
         for dim in (1, 2, 3, 4):

@@ -83,6 +83,24 @@ class TestModelErrors:
         assert code == 4
         assert "dimension error" in err
 
+    def test_oversized_factor_exits_4_before_allocating(self, capsys, tmp_path):
+        # target dimension 50 gives control factors of dimension 100, whose
+        # basis tables would need about 12 GiB
+        dim = 50
+        eye = [[[float(i == j), 0.0] for j in range(dim)] for i in range(dim)]
+        psi = [[1.0, 0.0]] + [[0.0, 0.0]] * (2 * dim - 1)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "version": 1, "family": "switch", "dim": dim, "psi": psi,
+            "unitaries": dict.fromkeys(("vx0", "xy0", "yu0", "vy1", "yx1", "xu1"), eye),
+        }))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--model", str(path),
+                             "--b", "I", "--a", "I")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (4, "")
+        assert err.startswith("dimension error: factor 3: dimension 100")
+        assert "limit of 1 GiB" in err
 
     @pytest.mark.parametrize("edit", [
         lambda obj: obj["psi"][0].__setitem__(0, float("nan")),
@@ -134,6 +152,15 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--model", SEQ, "--seed", "1")
         _, out2, _ = run(capsys, "verify", "--model", SEQ, "--seed", "2")
         assert out1 != out2
+
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_is_a_usage_error(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", SEQ, f"--seed={seed}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed" in err
+        assert "Traceback" not in err
 
     def test_impossible_tolerance_exits_1(self, capsys):
         code, out, err = run(capsys, "verify", "--model", SEQ, "--seed", "7",

@@ -239,7 +239,7 @@ class TestLeftIdeal:
         random_sequential,
         random_switch,
         random_fuzz,
-        lambda rng: random_superspacetime(rng).to_fuzz(),
+        random_superspacetime,
     ], ids=["adversarial", "representation_backed", "sequential", "switch", "fuzz",
             "superspacetime"])
     def test_batched_check_matches_per_word_loop(self, rng, make):
@@ -258,7 +258,7 @@ class TestLeftIdeal:
         random_sequential,
         random_switch,
         random_fuzz,
-        lambda rng: random_superspacetime(rng).to_fuzz(),
+        random_superspacetime,
     ], ids=["sequential", "switch", "fuzz", "superspacetime"])
     def test_letter_vectors_match_word_join(self, rng, make):
         state = make(rng)

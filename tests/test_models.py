@@ -185,9 +185,12 @@ class TestMalformedNumbers:
         ("superspacetime_two_branch", ("branches", 0, "times", 2), float("inf"),
          r"branches\[0\].times\[2\]"),
         ("superspacetime_two_branch", ("reference",), 5, "reference"),
+        ("superspacetime_two_branch", ("branches", 1, "permutation"), [True, False],
+         r"branches\[1\].permutation"),
     ], ids=["dim-text", "dim-fraction", "dim-bool", "dim-zero", "psi-nan", "psi-inf",
             "psi-huge-int", "unitary-minus-inf", "factor-text", "factor-unknown",
-            "weight-text", "weight-nan", "time-inf", "reference-not-a-list"])
+            "weight-text", "weight-nan", "time-inf", "reference-not-a-list",
+            "permutation-bool"])
     def test_is_a_format_error_naming_the_key(self, name, path, value, key):
         with pytest.raises(ModelFormatError, match=f"^{key}"):
             load_model_obj(shipped_obj(name, _set(path, value)))

@@ -91,7 +91,7 @@ class TestBruteforceAgreement:
         random_sequential,
         random_switch,
         random_fuzz,
-        lambda rng: random_superspacetime(rng).to_fuzz(),
+        random_superspacetime,
     ])
     def test_kernel_agreement_on_random_word_pairs(self, rng, maker):
         model = maker(rng)

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,6 +21,7 @@ from causal_kernel.states import (
     UNITARY_TOL,
     FuzzBranch,
     FuzzModel,
+    GeneralizedState,
     ModelValidationError,
     SequentialModel,
     SuperspacetimeBranch,
@@ -27,10 +30,14 @@ from causal_kernel.states import (
     UnregisteredSlotError,
     slot_groups,
 )
+from causal_kernel.gns import build_gns, report_obj
+from causal_kernel.models import load_model
 from causal_kernel.oracle import state_kernel_bruteforce
+from causal_kernel.verify import verify_state
 
 from conftest import I2, SX, SY, SZ
 
+MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 
@@ -40,7 +47,7 @@ def all_models(rng):
         random_sequential(rng),
         random_switch(rng),
         random_fuzz(rng),
-        random_superspacetime(rng).to_fuzz(),
+        random_superspacetime(rng),
     ]
 
 
@@ -267,10 +274,16 @@ class TestFuzz:
             assert abs(single.eval_words(b, a) - switch.eval_words(b, a)) < 1e-10
 
     def test_two_branch_reduction_equals_switch(self, rng):
-        # branches carrying the two orders with weight one reproduce the
-        # control-superposition model on every word pair
-        switch = random_switch(rng)
-        fuzz = switch.as_fuzz()
+        # branches carrying the two orders with weight one, built from the
+        # six segments (yu0, xy0, vx0 as "yx"; xu1, yx1, vy1 as "xy"),
+        # reproduce the control-superposition model on every word pair
+        vx0, xy0, yu0, vy1, yx1, xu1 = (random_unitary(rng, 2) for _ in range(6))
+        psi = np.kron(random_state_vector(rng, 2), random_state_vector(rng, 2))
+        switch = SwitchModel(2, psi, vx0, xy0, yu0, vy1, yx1, xu1)
+        fuzz = FuzzModel(2, psi, [
+            FuzzBranch(1.0, "yx", pre=yu0, mid=xy0, post=vx0),
+            FuzzBranch(1.0, "xy", pre=xu1, mid=yx1, post=vy1),
+        ])
         for _ in range(30):
             b = random_word(rng, switch.algebra, max_len=3)
             a = random_word(rng, switch.algebra, max_len=3)
@@ -342,14 +355,30 @@ class TestFuzz:
 
 
 class TestSuperspacetime:
+    def test_is_a_generalized_state(self, rng):
+        # the model evaluates itself: the verify suites, the oracle, the GNS
+        # pipeline and the loader take it as it is
+        m = random_superspacetime(rng)
+        assert isinstance(m, GeneralizedState)
+        assert m.family == "superspacetime"
+        assert verify_state(m, seed=3)["passed"] is True
+        for _ in range(20):
+            b = random_word(rng, m.algebra, max_len=3)
+            a = random_word(rng, m.algebra, max_len=3)
+            assert abs(m.eval_words(b, a) - state_kernel_bruteforce(m, b, a)) < 1e-10
+        report = report_obj(build_gns(m, max_len=2))
+        assert report["basisSize"] == len(list(m.algebra.words(2)))
+        loaded = load_model(MODELS_DIR / "superspacetime_two_branch.json")
+        assert isinstance(loaded.state, SuperspacetimeModel)
+        assert loaded.family == "superspacetime"
+
     def test_zero_hamiltonians_give_identity_segments(self, rng):
         z = np.zeros((2, 2))
         br = SuperspacetimeBranch(1.0, (0, 1), (z, z, z), (1.0, 2.0, 3.0))
         m = SuperspacetimeModel(2, ("a", "b"), random_state_vector(rng, 2), [br])
-        fuzz = m.to_fuzz()
-        np.testing.assert_allclose(fuzz.branches[0].pre, I2, atol=1e-12)
-        np.testing.assert_allclose(fuzz.branches[0].mid, I2, atol=1e-12)
-        np.testing.assert_allclose(fuzz.branches[0].post, I2, atol=1e-12)
+        np.testing.assert_allclose(m.branches[0].pre, I2, atol=1e-12)
+        np.testing.assert_allclose(m.branches[0].mid, I2, atol=1e-12)
+        np.testing.assert_allclose(m.branches[0].post, I2, atol=1e-12)
 
     def test_segment_unitaries_match_eigensolver_exponential(self, rng):
         # the eigendecomposition segments against scipy's expm, an independent
@@ -362,7 +391,7 @@ class TestSuperspacetime:
         for dim, hams, times, atol in cases:
             br = SuperspacetimeBranch(1.0, (1, 0), hams, times)
             m = SuperspacetimeModel(dim, ("a", "b"), random_state_vector(rng, dim), [br])
-            branch = m.to_fuzz().branches[0]
+            branch = m.branches[0]
             for seg, h, t in zip((branch.pre, branch.mid, branch.post), hams, times):
                 np.testing.assert_allclose(seg, scipy.linalg.expm(-1j * h * t),
                                            rtol=0, atol=atol)
@@ -374,12 +403,12 @@ class TestSuperspacetime:
         swapped = SuperspacetimeModel(
             2, ("a", "b"), psi_t,
             [SuperspacetimeBranch(1.0, (0, 1), (z, z, z), (1, 1, 1))],
-        ).to_fuzz()
+        )
         assert swapped.branches[0].order == "xy"
         direct = SuperspacetimeModel(
             2, ("a", "b"), psi_t,
             [SuperspacetimeBranch(1.0, (1, 0), (z, z, z), (1, 1, 1))],
-        ).to_fuzz()
+        )
         assert direct.branches[0].order == "yx"
 
     def test_swapped_order_reproduces_xy_chain(self, rng):
@@ -389,7 +418,7 @@ class TestSuperspacetime:
         m = SuperspacetimeModel(
             2, ("a", "b"), psi_t,
             [SuperspacetimeBranch(1.0, (0, 1), hams, times)],
-        ).to_fuzz()
+        )
         segs = [scipy.linalg.expm(-1j * h * t) for h, t in zip(hams, times)]
         x, y = random_matrix(rng, 2), random_matrix(rng, 2)
         phi = random_state_vector(rng, 2)
@@ -403,8 +432,8 @@ class TestSuperspacetime:
         psi_t = random_state_vector(rng, 2)
         branch = SuperspacetimeBranch(0.6 + 0.2j, (1, 0), hams, times)
         twin = SuperspacetimeBranch(0.3 - 0.5j, (1, 0), hams, times)
-        double = SuperspacetimeModel(2, ("a", "b"), psi_t, [branch, twin]).to_fuzz()
-        single = SuperspacetimeModel(2, ("a", "b"), psi_t, [branch]).to_fuzz()
+        double = SuperspacetimeModel(2, ("a", "b"), psi_t, [branch, twin])
+        single = SuperspacetimeModel(2, ("a", "b"), psi_t, [branch])
         for _ in range(20):
             b = random_word(rng, single.algebra, max_len=3, factors=(1, 2))
             a = random_word(rng, single.algebra, max_len=3, factors=(1, 2))
