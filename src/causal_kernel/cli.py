@@ -2,13 +2,13 @@
 
 Subcommands: eval, gram, gns, verify, demo-switch, demo-fuzz.  Output is
 deterministic for a fixed seed; JSON is emitted with sorted keys.  Exit
-codes: 0 success, 1 verification failure, 2 expression parse error, eval
-value not finite, or usage error (including a flag the subcommand does not
-take), 3 model validation error, 4 dimension error (a mismatch, a product
-over the word-length cap, or a factor too large to tabulate), 5 refusal by
-gns or gram (word-length cap or word-basis size limit).  Diagnostics go to
-stderr; the environment variable CAUSAL_KERNEL_LOG (DEBUG, INFO, WARNING)
-controls log verbosity.
+codes: 0 success, 1 verification failure (a failed verify suite or demo
+row), 2 expression parse error, eval value not finite, or usage error
+(including a flag the subcommand does not take), 3 model validation error,
+4 dimension error (a mismatch, a product over the word-length cap, or a
+factor too large to tabulate), 5 refusal by gns or gram (word-length cap or
+word-basis size limit).  Diagnostics go to stderr; the environment
+variable CAUSAL_KERNEL_LOG (DEBUG, INFO, WARNING) controls log verbosity.
 """
 
 from __future__ import annotations
@@ -133,6 +133,10 @@ def _cmd_demo(report) -> int:
                 sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
         else:
             sys.stdout.write(_dump_json(obj))
+        failing = [i for i, row in enumerate(obj["rows"]) if not row["ok"]]
+        if failing:
+            sys.stderr.write(f"demo failed: rows {failing} are not ok\n")
+            return EXIT_VERIFY_FAILED
         return EXIT_OK
 
     return run

@@ -266,7 +266,8 @@ def load_model_obj(obj: dict) -> LoadedModel:
             f"version: expected {SCHEMA_VERSION}, got {version!r}"
         )
     family = _require(obj, "family", "model")
-    loader = _LOADERS.get(family)
+    # a list or object family is unhashable, so it cannot be looked up
+    loader = _LOADERS.get(family) if isinstance(family, str) else None
     if loader is None:
         raise ModelFormatError(
             f"family: expected one of {sorted(_LOADERS)}, got {family!r}"
@@ -288,6 +289,8 @@ def load_model(path: str | os.PathLike) -> LoadedModel:
             obj = json.load(fh)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     return load_model_obj(obj)

@@ -21,7 +21,7 @@ the left of a word acts on one slot group only, so ``letter_vectors`` gets
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -118,7 +118,8 @@ class GeneralizedState:
     """Base bilinear evaluator over canonical words.
 
     A subclass defines ``_contract`` over stacked slot groups.  Single
-    forward vectors are cached per canonical word, and instances are
+    forward vectors are cached per canonical word (``_fill_cache`` warms
+    the cache for a word list in one batched pass), and instances are
     immutable after construction, so concurrent reads are safe and
     deterministic.
     """
@@ -138,10 +139,18 @@ class GeneralizedState:
         """``r(word)``, the batch of one, memoised per word."""
         hit = self._forward_cache.get(word)
         if hit is None:
-            # a copy owns its D entries; a view would keep the batch's array too
-            hit = self.forward_vectors([word])[:, 0].copy()
-            self._forward_cache[word] = hit
+            self._fill_cache([word])
+            hit = self._forward_cache[word]
         return hit
+
+    def _fill_cache(self, words: Iterable[CanonicalWord]) -> None:
+        """Cache ``r(w)`` for every word not cached yet, in one pass."""
+        cold = [w for w in dict.fromkeys(words) if w not in self._forward_cache]
+        if cold:
+            batch = self.forward_vectors(cold)
+            for j, w in enumerate(cold):
+                # a copy owns its D entries; a view would keep the batch's array too
+                self._forward_cache[w] = batch[:, j].copy()
 
     def forward_vectors(self, words: Sequence[CanonicalWord]) -> np.ndarray:
         """The columns ``r(w)`` for every word, shape ``(D, n)``, in one pass;

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from causal_kernel import cli
 from causal_kernel.cli import main
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -106,7 +107,9 @@ class TestModelErrors:
         lambda obj: obj["psi"][0].__setitem__(0, float("nan")),
         lambda obj: obj["symbols"]["x"].__setitem__("factor", 3),
         lambda obj: obj.__setitem__("dim", "abc"),
-    ], ids=["nan", "unknown-factor", "dim-text"])
+        lambda obj: obj.__setitem__("family", ["sequential"]),
+        lambda obj: obj.__setitem__("family", {"sequential": 1}),
+    ], ids=["nan", "unknown-factor", "dim-text", "family-list", "family-object"])
     def test_malformed_numbers_exit_3(self, capsys, tmp_path, edit):
         path = tmp_path / "bad.json"
         obj = json.load(open(SEQ))
@@ -116,6 +119,14 @@ class TestModelErrors:
                              "--b", "I", "--a", "I")
         assert (code, out) == (3, "")
         assert err.startswith("model error:")
+
+    def test_non_utf8_file_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "eval", "--model", str(path),
+                             "--b", "I", "--a", "I")
+        assert (code, out) == (3, "")
+        assert err.startswith("model error: model file is not valid UTF-8")
 
     def test_overflowing_scalar_exits_2(self, capsys):
         code, out, err = run(capsys, "eval", "--model", SEQ, "--b", "1e400",
@@ -307,6 +318,19 @@ class TestDemos:
         _, out1, _ = run(capsys, "demo-switch")
         _, out2, _ = run(capsys, "demo-switch")
         assert out1 == out2
+
+    @pytest.mark.parametrize("command, report", [
+        ("demo-switch", "demo_switch_report"), ("demo-fuzz", "demo_fuzz_report"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_failed_row_exits_1_after_the_report(self, capsys, monkeypatch,
+                                                 command, report, fmt):
+        rows = [{"check": "holds", "ok": True}, {"check": "broken", "ok": False}]
+        monkeypatch.setattr(cli, report, lambda: {"demo": "stub", "rows": rows})
+        code, out, err = run(capsys, command, "--format", fmt)
+        assert code == 1
+        assert '"broken"' in out
+        assert err == "demo failed: rows [1] are not ok\n"
 
 
 # the flags each subcommand reads, besides --model, --b and --a

@@ -85,6 +85,12 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="family"):
             load_model_obj(sequential_obj(family="nope"))
 
+    # an unhashable family cannot be looked up among the loaders
+    @pytest.mark.parametrize("family", [["switch"], {"switch": 1}])
+    def test_family_must_be_a_string(self, family):
+        with pytest.raises(ModelFormatError, match="family"):
+            load_model_obj(sequential_obj(family=family))
+
     def test_missing_key(self):
         obj = sequential_obj()
         del obj["psi"]
@@ -107,6 +113,12 @@ class TestFormatErrors:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ModelFormatError, match="cannot read"):
             load_model(tmp_path / "missing.json")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ModelFormatError, match="not valid UTF-8"):
+            load_model(path)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -87,6 +87,22 @@ class TestBatchedForward:
             np.testing.assert_allclose(m.forward_vectors([()])[:, 0],
                                        m.forward_vector(()), rtol=0, atol=1e-12)
 
+    def test_fill_caches_owned_batch_of_one_vectors(self, rng, monkeypatch):
+        for m in all_models(rng):
+            words = self._words(rng, m)
+            m._fill_cache(words + words[::3])
+            for w in words:
+                cached = m._forward_cache[w]
+                np.testing.assert_array_equal(cached, m.forward_vectors([w])[:, 0])
+                assert cached.base is None
+
+            def evaluated_again(words):
+                raise AssertionError(f"{len(words)} cached words evaluated again")
+
+            monkeypatch.setattr(m, "forward_vectors", evaluated_again)
+            m._fill_cache(words)
+            assert all(m.forward_vector(w) is m._forward_cache[w] for w in words)
+
     def test_slot_groups_of_a_word_list(self, qubit_pair_algebra):
         words = [(), ((1, 0), (2, 2), (1, 1)), ((2, 2), (1, 0)), ((2, 1),)]
         expected = [(I2, I2), (SX @ SY, SZ), (SX, SZ), (I2, SY)]

@@ -3,9 +3,13 @@ import pathlib
 import pytest
 
 from causal_kernel import load_model, verify_state
+from causal_kernel.states import GeneralizedState
 
-SEQ = pathlib.Path(__file__).resolve().parent.parent / "models" / "sequential_qubit.json"
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+SEQ = MODELS / "sequential_qubit.json"
 FEW = dict(axiom_samples=2, pair_samples=2, oracle_samples=1)
+COMMITTED = ["sequential_qubit", "switch_qubit", "fuzz_two_branch",
+             "superspacetime_two_branch"]
 
 
 @pytest.fixture
@@ -27,3 +31,36 @@ class TestToleranceOverride:
                                              "oracle_agreement"}
         assert {e["tolerance"] for e in report["properties"].values()} == {0.0}
 
+
+class TestBatchedSuites:
+    """Each suite fills the per-word cache for its samples in one pass."""
+
+    @pytest.mark.parametrize("name", COMMITTED)
+    def test_report_equals_the_per_word_route(self, monkeypatch, name):
+        batched = [verify_state(load_model(MODELS / f"{name}.json").state, seed)
+                   for seed in (0, 42)]
+        # every word its own batch of one, as a cold forward_vector evaluates it
+        fill = GeneralizedState._fill_cache
+        monkeypatch.setattr(GeneralizedState, "_fill_cache",
+                            lambda self, words: [fill(self, [w]) for w in words])
+        per_word = [verify_state(load_model(MODELS / f"{name}.json").state, seed)
+                    for seed in (0, 42)]
+        assert batched == per_word
+
+    @pytest.mark.parametrize("name", COMMITTED)
+    def test_one_forward_pass_per_suite(self, monkeypatch, name):
+        state = load_model(MODELS / f"{name}.json").state
+        calls = []
+        forward = GeneralizedState.forward_vectors
+
+        def counted(self, words):
+            calls.append(self)
+            return forward(self, words)
+
+        monkeypatch.setattr(GeneralizedState, "forward_vectors", counted)
+        verify_state(state, seed=42)
+        # unit check, axiom, pair and oracle suites on the state; the
+        # sequential recovery suite adds one pass for each of its fresh
+        # models, one per oracle sample (50 by default)
+        assert sum(m is state for m in calls) <= 4
+        assert len(calls) <= (4 + 50 if name == "sequential_qubit" else 4)
