@@ -3,7 +3,8 @@
 Subcommands: eval, gram, gns, verify, demo-switch, demo-fuzz.  Output is
 deterministic for a fixed seed; JSON is emitted with sorted keys.  Exit
 codes: 0 success, 1 verification failure (a failed verify suite or demo
-row), 2 expression parse error, eval value not finite, or usage error
+row), 2 expression parse error (including nesting of '(' and 'adj(' deeper
+than expr.MAX_DEPTH), eval value not finite, or usage error
 (including a flag the subcommand does not take), 3 model validation error,
 4 dimension error (a mismatch, a product over the word-length cap, or a
 factor too large to tabulate), 5 refusal by gns or gram (word-length cap or
@@ -23,7 +24,8 @@ import sys
 from .algebra import AlgebraError
 from .demo import demo_fuzz_report, demo_switch_report
 from .expr import ExprError, eval_expr, parse
-from .gns import NULL_TOL, GnsError, build_gns, default_max_len, report_obj
+from .gns import (NULL_TOL, GnsError, WordBasis, build_gns, default_max_len, gram,
+                  report_obj)
 from .models import LoadedModel, ModelFormatError, load_model
 from .states import ModelValidationError, StateError
 from .verify import verify_state
@@ -75,8 +77,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    from .gns import WordBasis, gram
-
     model = _load(args.model)
     max_len = args.max_len
     if max_len is None:

@@ -7,10 +7,12 @@ Grammar (EBNF):
     factor := scalar | ident | 'I' | 'adj(' expr ')' | '(' expr ')'
     scalar := NUMBER 'i'? | 'i'
 
-Products are left-associative; ``I`` is the unit element; ``adj(...)`` is the
-adjoint.  Scalars are floats with an optional trailing ``i`` for imaginary
-literals, so a general complex constant is written as a sum like
-``0.5+0.5i``.  Parse failures carry a 1-based line and column.
+Sums and products are flat chains of any length, folded left to right;
+``I`` is the unit element; ``adj(...)`` is the adjoint.  Scalars are floats
+with an optional trailing ``i`` for imaginary literals, so a general complex
+constant is written as a sum like ``0.5+0.5i``.  A tree is only as deep as
+its parentheses: ``(`` and ``adj(`` nest at most ``MAX_DEPTH`` levels.
+Parse failures carry a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import FreeAlgebra, FreeElement
+
+# Nesting limit for '(' and 'adj('.  The parser recurses three frames per
+# level, pretty and eval_expr one per node (at most three nodes per level),
+# so at this depth they stay inside the default recursion limit of 1000.
+MAX_DEPTH = 200
 
 
 class ExprError(Exception):
@@ -40,9 +47,8 @@ class UnboundSymbolError(ExprError):
 # ----------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
 class Node:
-    span: tuple[int, int] = field(default=(0, 0), compare=False, kw_only=True)
+    """Base of the AST node classes."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,7 @@ class Scalar(Node):
 @dataclass(frozen=True)
 class Name(Node):
     name: str
+    span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -66,21 +73,15 @@ class Adj(Node):
 
 
 @dataclass(frozen=True)
-class Mul(Node):
-    left: Node
-    right: Node
+class Sum(Node):
+    """``terms[0] ops[0] terms[1] ops[1] ...``, each op ``'+'`` or ``'-'``."""
+    terms: tuple[Node, ...]
+    ops: tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
+class Product(Node):
+    factors: tuple[Node, ...]
 
 
 # ----------------------------------------------------------------------
@@ -94,45 +95,29 @@ class _Token:
     col: int
 
 
-_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?i?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>\s)
+  | (?P<op>[-+*()])
+  | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
 def _scan(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            col += 1
-            pos += 1
-            continue
-        if ch in "+-*()":
-            tokens.append(_Token("op", ch, line, col))
-            pos += 1
-            col += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("number", m.group(0), line, col))
-            col += m.end() - pos
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("ident", m.group(0), line, col))
-            col += m.end() - pos
-            pos = m.end()
-            continue
-        raise ExprError(line, col, f"unknown token {ch!r}")
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ExprError(line, col, f"unknown token {m.group()!r}")
+        elif kind != "space":
+            tokens.append(_Token(kind, m.group(), line, col))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -143,6 +128,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -159,56 +145,46 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                right = self.parse_term()
-                cls = Add if tok.text == "+" else Sub
-                node = cls(node, right, span=(tok.line, tok.col))
-            else:
-                return node
+        terms, ops = [self.parse_term()], []
+        while (tok := self.peek()).kind == "op" and tok.text in "+-":
+            self.advance()
+            ops.append(tok.text)
+            terms.append(self.parse_term())
+        return Sum(tuple(terms), tuple(ops)) if ops else terms[0]
 
     def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                right = self.parse_factor()
-                node = Mul(node, right, span=(tok.line, tok.col))
-            else:
-                return node
+        factors = [self.parse_factor()]
+        while (tok := self.peek()).kind == "op" and tok.text == "*":
+            self.advance()
+            factors.append(self.parse_factor())
+        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def parse_factor(self) -> Node:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "number":
-            self.advance()
             text = tok.text
             x = float(text.removesuffix("i"))
             if not math.isfinite(x):
                 raise ExprError(tok.line, tok.col, f"scalar {text!r} overflows a float")
-            value = complex(0.0, x) if text.endswith("i") else complex(x, 0.0)
-            return Scalar(value, span=(tok.line, tok.col))
+            return Scalar(complex(0.0, x) if text.endswith("i") else complex(x, 0.0))
         if tok.kind == "ident":
-            self.advance()
             if tok.text == "i":
-                return Scalar(1j, span=(tok.line, tok.col))
+                return Scalar(1j)
             if tok.text == "I":
-                return UnitSym(span=(tok.line, tok.col))
-            if tok.text == "adj":
-                self.expect_op("(")
-                child = self.parse_expr()
-                self.expect_op(")")
-                return Adj(child, span=(tok.line, tok.col))
-            return Name(tok.text, span=(tok.line, tok.col))
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        raise ExprError(tok.line, tok.col, f"expected a scalar, name, 'I', 'adj(' or '(', got {tok.text!r}")
+                return UnitSym()
+            if tok.text != "adj":
+                return Name(tok.text, span=(tok.line, tok.col))
+            self.expect_op("(")
+        elif tok.kind != "op" or tok.text != "(":
+            raise ExprError(tok.line, tok.col, f"expected a scalar, name, 'I', 'adj(' or '(', got {tok.text!r}")
+        # inside '(' or 'adj(': one level deeper
+        if self.depth == MAX_DEPTH:
+            raise ExprError(tok.line, tok.col, f"nesting deeper than {MAX_DEPTH}")
+        self.depth += 1
+        node = self.parse_expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return Adj(node) if tok.text == "adj" else node
 
 
 def parse(text: str) -> Node:
@@ -245,21 +221,20 @@ def pretty(node: Node) -> str:
         return "I"
     if isinstance(node, Adj):
         return f"adj({pretty(node.child)})"
-    if isinstance(node, Mul):
-        left = pretty(node.left)
-        if isinstance(node.left, (Add, Sub)):
-            left = f"({left})"
-        right = pretty(node.right)
-        if isinstance(node.right, (Add, Sub, Mul)):
-            right = f"({right})"
-        return f"{left}*{right}"
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        left = pretty(node.left)
-        right = pretty(node.right)
-        if isinstance(node.right, (Add, Sub)):
-            right = f"({right})"
-        return f"{left} {op} {right}"
+    # one frame per node: a loop, not a helper or a comprehension, renders
+    # the parts, so a tree MAX_DEPTH parentheses deep stays within the stack
+    if isinstance(node, Sum):
+        text = ""
+        for sep, term in zip(("", *(f" {op} " for op in node.ops)), node.terms):
+            part = pretty(term)
+            text += sep + (f"({part})" if isinstance(term, Sum) else part)
+        return text
+    if isinstance(node, Product):
+        parts = []
+        for factor in node.factors:
+            part = pretty(factor)
+            parts.append(f"({part})" if isinstance(factor, (Sum, Product)) else part)
+        return "*".join(parts)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -271,7 +246,8 @@ def eval_expr(
     symbols: Mapping[str, FreeElement],
     algebra: FreeAlgebra,
 ) -> FreeElement:
-    """Evaluate an AST to a FreeElement over the given algebra."""
+    """Evaluate an AST to a FreeElement over the given algebra; sums and
+    products fold left to right."""
     if isinstance(node, Scalar):
         return node.value * algebra.unit()
     if isinstance(node, UnitSym):
@@ -285,10 +261,15 @@ def eval_expr(
             ) from None
     if isinstance(node, Adj):
         return eval_expr(node.child, symbols, algebra).star()
-    if isinstance(node, Mul):
-        return eval_expr(node.left, symbols, algebra) * eval_expr(node.right, symbols, algebra)
-    if isinstance(node, Add):
-        return eval_expr(node.left, symbols, algebra) + eval_expr(node.right, symbols, algebra)
-    if isinstance(node, Sub):
-        return eval_expr(node.left, symbols, algebra) - eval_expr(node.right, symbols, algebra)
+    if isinstance(node, Sum):
+        acc = eval_expr(node.terms[0], symbols, algebra)
+        for op, term in zip(node.ops, node.terms[1:]):
+            value = eval_expr(term, symbols, algebra)
+            acc = acc + value if op == "+" else acc - value
+        return acc
+    if isinstance(node, Product):
+        acc = eval_expr(node.factors[0], symbols, algebra)
+        for factor in node.factors[1:]:
+            acc = acc * eval_expr(factor, symbols, algebra)
+        return acc
     raise TypeError(f"not an AST node: {node!r}")

@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import pathlib
 import time
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from causal_kernel import cli
 from causal_kernel.cli import main
+from causal_kernel.expr import MAX_DEPTH
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 SEQ = str(MODELS_DIR / "sequential_qubit.json")
@@ -56,6 +60,25 @@ class TestEval:
                            "--format", "pretty")
         assert code == 0
         assert out.startswith("omega(b, a) = ")
+
+    # chains of any length are flat; nesting beyond MAX_DEPTH is refused at the
+    # column of the opening token
+    @pytest.mark.parametrize("text, code, err", [
+        ("+".join(["x1"] * 5000), 0, ""),
+        ("*".join(["2"] * 1000), 0, ""),
+        ("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, 0, ""),
+        ("x1+x1*adj(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH, 0, ""),
+        ("(" * (MAX_DEPTH + 1) + "x1" + ")" * (MAX_DEPTH + 1), 2,
+         f"1:{MAX_DEPTH + 1}: nesting deeper than {MAX_DEPTH}\n"),
+        ("(" * 500 + "x1" + ")" * 500, 2, f"1:{MAX_DEPTH + 1}: nesting deeper"),
+        ("adj(" * 400 + "x1" + ")" * 400, 2, f"1:{4 * MAX_DEPTH + 1}: nesting deeper"),
+    ], ids=["sum-5000", "product-1000", "parens-at-limit", "mixed-at-limit",
+            "parens-over-limit", "parens-500", "adj-400"])
+    def test_long_chains_and_deep_nesting(self, capsys, text, code, err):
+        got, out, stderr = run(capsys, "eval", "--model", SEQ, "--b", "I", "--a", text)
+        assert (got, bool(out)) == (code, code == 0)
+        assert stderr.startswith(err)
+        assert "Traceback" not in stderr
 
 
 class TestModelErrors:
@@ -297,6 +320,72 @@ class TestGramAndGns:
                                 "--max-len", max_len)
         assert code == 0
         assert default == explicit
+
+
+MUTANT_VALUES = [None, True, "abc", -1, 0, 1e308, 10**30, [], {}]
+DELETE = object()
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+EXPR_TOKENS = ["x1", "y2", "x", "nosuch", "I", "i", "adj(", "(", ")", "+", "-", "*",
+               "2.5", "0.5i", "1e200", "1e400", " ", "\n", "$"]
+
+
+def _node_paths(obj, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _mutated(obj, path, value):
+    """A copy of ``obj`` with the node at ``path`` replaced, or deleted."""
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    parent = functools.reduce(operator.getitem, path[:-1], obj)
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+def _exit_code(capsys, *argv):
+    try:
+        return run(capsys, *argv)[0]
+    except Exception as exc:  # an escaped exception is the failure looked for
+        pytest.fail(f"{argv!r} raised {exc!r}")
+
+
+class TestMutations:
+    """Seeded mutations of model files and expressions: every run ends in a
+    documented exit code, never an exception."""
+
+    @pytest.mark.parametrize("model", sorted(p.name for p in MODELS_DIR.glob("*.json")))
+    def test_model_mutations(self, capsys, tmp_path, model):
+        obj = json.loads((MODELS_DIR / model).read_text())
+        # a key (str) can be deleted; a list index (int) only replaced
+        cases = [(path, value) for path in _node_paths(obj) for value in
+                 MUTANT_VALUES + ([DELETE] if path and isinstance(path[-1], str) else [])]
+        path_file = tmp_path / model
+        for k in np.random.default_rng(2026).choice(len(cases), size=120, replace=False):
+            path, value = cases[k]
+            path_file.write_text(json.dumps(_mutated(obj, path, value)))
+            code = _exit_code(capsys, "gram", "--model", str(path_file), "--max-len", "0")
+            assert code in DOCUMENTED_EXITS, (path, value, code)
+
+    def test_random_expressions(self, capsys):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            text = "".join(rng.choice(EXPR_TOKENS, size=int(rng.integers(13))))
+            # "--a=" keeps a leading "-" from reading as a flag
+            code = _exit_code(capsys, "eval", "--model", SEQ, "--b", "I", f"--a={text}")
+            assert code in DOCUMENTED_EXITS, (text, code)
 
 
 class TestDemos:
