@@ -183,12 +183,14 @@ def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
     are Ritz vectors rescaled to orthonormality in the G-inner product.
     """
     g = np.asarray(g, dtype=complex)
-    herm_err = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
-    if herm_err > GRAM_HERMITIAN_TOL:
-        raise GramPropertyError("hermiticity", herm_err)
-    h = (g + g.conj().T) / 2.0
+    # written so that NaN fails them: a non-finite entry makes g - g^H NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_err = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
+        if not herm_err <= GRAM_HERMITIAN_TOL:
+            raise GramPropertyError("hermiticity", herm_err)
+        h = (g + g.conj().T) / 2.0
     evals = np.linalg.eigvalsh(h)
-    if evals.size and evals[0] < -GRAM_PSD_TOL:
+    if evals.size and not evals[0] >= -GRAM_PSD_TOL:
         raise GramPropertyError("positive semidefiniteness", float(-evals[0]))
     scale = max(float(evals[-1]), 1.0) if evals.size else 1.0
     cutoff = tol * scale

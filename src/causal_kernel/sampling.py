@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import CanonicalWord, FreeAlgebra, FreeElement
+from .algebra import PRUNE_TOL, CanonicalWord, FreeAlgebra, FreeElement
 from .states import (
     FuzzBranch,
     FuzzModel,
@@ -69,13 +69,22 @@ def random_element(
     max_len: int = 3,
     max_terms: int = 3,
 ) -> FreeElement:
+    """Sum of up to ``max_terms`` random words with complex normal
+    coefficients; the terms are accumulated as ``+`` would, pruned at
+    ``PRUNE_TOL``."""
     n_terms = int(rng.integers(1, max_terms + 1))
-    out = algebra.zero()
+    terms: dict = {}
     for _ in range(n_terms):
         coeff = complex(rng.normal(), rng.normal())
         word = random_word(rng, algebra, max_len)
-        out = out + algebra.word_element(word, coeff)
-    return out
+        if abs(coeff) <= PRUNE_TOL:
+            continue
+        total = terms.get(word, 0j) + coeff
+        if abs(total) > PRUNE_TOL:
+            terms[word] = total
+        else:
+            terms.pop(word, None)
+    return FreeElement(algebra, terms)
 
 
 def random_sequential(

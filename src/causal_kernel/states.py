@@ -13,14 +13,19 @@ resolved exactly as resolutions of the identity, never sampled.
 ``r(w)`` is multilinear in the slot groups (the comb or process-matrix form
 of the model), so each family is one contraction of stacked slot groups
 that broadcasts over a leading batch axis: a whole word list is evaluated
-in one pass, and a single word is the batch of one.  A letter multiplied on
+in one pass, and a single word is the batch of one.  Words whose letters
+differ only in how different slots interleave have the same slot groups, so
+each distinct slot signature is contracted once.  A letter multiplied on
 the left of a word acts on one slot group only, so ``letter_vectors`` gets
 ``r(b w)`` from the words' own groups, without forming the product words.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +42,8 @@ UNITARY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 UNIT_OMEGA_TOL = 1e-10
 
+_factor = itemgetter(0)
+
 
 class StateError(Exception):
     """Base class for state-evaluation failures."""
@@ -48,6 +55,20 @@ class UnregisteredSlotError(StateError):
 
 class ModelValidationError(Exception):
     """Model data violates a structural requirement (norms, unitarity, weights)."""
+
+
+def _validating(init):
+    """Run a model constructor with numpy's overflow and invalid-value
+    warnings off.  A huge entry (1e308) overflows a check's arithmetic to inf
+    or NaN; every check is written so that NaN fails it, so the entry ends in
+    a ``ModelValidationError`` and nothing else reaches standard error."""
+
+    @functools.wraps(init)
+    def run(self, *args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            init(self, *args, **kwargs)
+
+    return run
 
 
 def _check_unitary(name: str, u: np.ndarray, dim: int) -> np.ndarray:
@@ -87,31 +108,47 @@ def slot_groups(
     algebra: FreeAlgebra,
     words: Sequence[CanonicalWord],
     slots: Sequence[int],
-) -> list[np.ndarray]:
-    """Per-slot letter products of every word, one ``(n, d, d)`` stack per slot.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-slot letter products of every distinct slot signature of ``words``,
+    one ``(m, d, d)`` stack per slot, and each word's signature index.
 
-    Entry ``j`` of slot ``i``'s stack is the product of word ``j``'s letters
-    from that slot, in order of appearance, or the slot's identity when the
-    word has none.  Each slot's stack is built one within-slot letter
-    position at a time, with one batched matmul against the slot's stacked
-    basis (shorter words are padded with the identity).
+    A word's signature is its letters stably sorted by factor.  Letters of
+    different slots act on different slot groups, so words that differ only
+    in how those letters interleave share a signature and every slot group:
+    ``stack[inverse[j]]`` is word ``j``'s group.  Entry ``s`` of slot ``i``'s
+    stack is the product of signature ``s``'s letters from that slot, in
+    order, or the slot's identity when it has none.  Each slot's stack is
+    built one within-slot letter position at a time, with one batched matmul
+    against the slot's stacked basis (shorter runs are padded with the
+    identity).
     """
     _check_slots({f for word in words for f, _ in word}, slots)
-    per_slot = [[[k for g, k in word if g == f] for word in words] for f in slots]
+    index: dict[CanonicalWord, int] = {}
+    inverse = np.array(
+        [index.setdefault(tuple(sorted(w, key=_factor)), len(index)) for w in words],
+        dtype=np.intp,
+    )
+    # a signature holds each slot's letters as one run, so a slot without
+    # letters keeps the shared empty run
+    runs = {f: [[]] * len(index) for f in slots}
+    for s, sig in enumerate(index):
+        for f, run in groupby(sig, _factor):
+            runs[f][s] = [k for _, k in run]
     stacks = []
-    for f, lists in zip(slots, per_slot):
+    for f in slots:
         spec = algebra.factor(f)
         # pad with the identity, which sits after the basis in basis_stack
         pad = len(spec.basis)
-        depth = max(1, max(map(len, lists), default=0))
+        depth = max(1, max(map(len, runs[f]), default=0))
         mats = spec.basis_stack[
-            np.array([ks + [pad] * (depth - len(ks)) for ks in lists], dtype=np.intp)
+            np.array([ks + [pad] * (depth - len(ks)) for ks in runs[f]], dtype=np.intp)
+            .reshape(len(index), depth)
         ]
         stack = mats[:, 0]
         for r in range(1, depth):
             stack = stack @ mats[:, r]
         stacks.append(stack)
-    return stacks
+    return stacks, inverse
 
 
 class GeneralizedState:
@@ -119,7 +156,8 @@ class GeneralizedState:
 
     A subclass defines ``_contract`` over stacked slot groups.  Single
     forward vectors are cached per canonical word (``_fill_cache`` warms
-    the cache for a word list in one batched pass), and instances are
+    the cache for a word list in one batched pass, and ``eval_bilinear``
+    fills all of its misses with one such call), and instances are
     immutable after construction, so concurrent reads are safe and
     deterministic.
     """
@@ -153,9 +191,11 @@ class GeneralizedState:
                 self._forward_cache[w] = batch[:, j].copy()
 
     def forward_vectors(self, words: Sequence[CanonicalWord]) -> np.ndarray:
-        """The columns ``r(w)`` for every word, shape ``(D, n)``, in one pass;
-        it bypasses the per-word cache."""
-        return self._contract(*slot_groups(self.algebra, words, self.slots)).T
+        """The columns ``r(w)`` for every word, shape ``(D, n)``, in one pass
+        that contracts each distinct slot signature once; it bypasses the
+        per-word cache."""
+        groups, inverse = slot_groups(self.algebra, words, self.slots)
+        return self._contract(*groups)[inverse].T
 
     def letter_vectors(
         self, letters: Sequence[tuple[int, int]], words: Sequence[CanonicalWord]
@@ -166,17 +206,18 @@ class GeneralizedState:
         Left multiplication by ``b`` multiplies the slot group of ``b``'s
         factor on the left by ``b``'s basis matrix and leaves the other
         groups alone (merged or cancelled letters included, by linearity),
-        so each letter is one contraction of the words' own slot groups.
+        so each letter is one contraction of the words' own slot groups,
+        taken once per distinct slot signature.
         """
         _check_slots({f for f, _ in letters}, self.slots)
-        groups = slot_groups(self.algebra, words, self.slots)
+        groups, inverse = slot_groups(self.algebra, words, self.slots)
         out = []
         for f, k in letters:
             i = self.slots.index(f)
             acted = list(groups)
             acted[i] = self.algebra.factor(f).basis_stack[k] @ groups[i]
             out.append(self._contract(*acted).T)
-        return np.stack(out)
+        return np.stack(out).take(inverse, axis=2)
 
     def eval_words(self, b: CanonicalWord, a: CanonicalWord) -> complex:
         """Kernel value omega(b, a) on a pair of canonical words."""
@@ -192,13 +233,25 @@ class GeneralizedState:
             )
         if p.is_zero() or q.is_zero():
             return 0j
+        try:
+            return self._eval_cached(p, q)
+        except KeyError:
+            # the first miss: evaluate every word of both sides in one pass
+            self._fill_cache([w for w, _ in q.items()]
+                             + [tuple(reversed(w)) for w, _ in p.items()])
+            return self._eval_cached(p, q)
+
+    def _eval_cached(self, p: FreeElement, q: FreeElement) -> complex:
+        """``eval_bilinear`` on cached forward vectors; a cold word raises
+        ``KeyError``."""
+        cache = self._forward_cache
         right = None
         for w, c in q.items():
-            v = c * self.forward_vector(w)
+            v = c * cache[w]
             right = v if right is None else right + v
         out = 0j
         for w, c in p.items():
-            rb = self.forward_vector(tuple(reversed(w)))
+            rb = cache[tuple(reversed(w))]
             out += c * complex(rb.conj() @ right)
         return out
 
@@ -221,6 +274,7 @@ class SequentialModel(GeneralizedState):
 
     family = "sequential"
 
+    @_validating
     def __init__(
         self,
         dim: int,
@@ -287,6 +341,7 @@ class FuzzModel(GeneralizedState):
 
     family = "fuzz"
 
+    @_validating
     def __init__(
         self,
         dim: int,
@@ -428,6 +483,7 @@ class SuperspacetimeModel(FuzzModel):
 
     family = "superspacetime"
 
+    @_validating
     def __init__(
         self,
         dim: int,

@@ -4,6 +4,7 @@ import json
 import operator
 import pathlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,13 @@ class TestEval:
         assert stderr.startswith(err)
         assert "Traceback" not in stderr
 
+    def test_fourth_power_bytes_are_pinned(self, capsys):
+        # 2,681 cold words, evaluated in one batched pass; the bytes are those
+        # of the route that evaluated each word as its own batch of one
+        power = "*".join(["(x1+y1+u1+v1+x2+y2+u2+v2)"] * 4)
+        got = run(capsys, "eval", "--model", SWITCH, "--b", "I", "--a", power)
+        assert got == (0, '{"re":189.00000000000006,"im":-31.000000000000014}\n', "")
+
 
 class TestModelErrors:
     def test_invalid_model_exits_3(self, capsys, tmp_path):
@@ -142,6 +150,31 @@ class TestModelErrors:
                              "--b", "I", "--a", "I")
         assert (code, out) == (3, "")
         assert err.startswith("model error:")
+
+    # a 1e308 entry overflows the checks' arithmetic to inf or NaN: the model
+    # is refused with one line on standard error, and no numpy warning
+    @pytest.mark.parametrize("model, path", [
+        ("sequential_qubit.json", ("psi", 0, 0)),
+        ("sequential_qubit.json", ("unitaries", 0, 0, 0, 0)),
+        ("switch_qubit.json", ("unitaries", "xu1", 1, 1, 0)),
+        ("fuzz_two_branch.json", ("branches", 0, "weight")),
+        ("fuzz_two_branch.json", ("branches", 0, "unitaries", 1, 0, 1, 0)),
+        ("superspacetime_two_branch.json", ("branches", 0, "amplitude", 0)),
+        ("superspacetime_two_branch.json", ("branches", 0, "hamiltonians", 0, 0, 1, 0)),
+        ("superspacetime_two_branch.json", ("targetPsi", 0, 0)),
+    ], ids=["psi", "unitary", "switch-unitary", "weight", "fuzz-unitary",
+            "amplitude", "hamiltonian", "target-psi"])
+    def test_huge_entry_exits_3_with_one_line(self, capsys, tmp_path, model, path):
+        file = tmp_path / model
+        obj = json.loads((MODELS_DIR / model).read_text())
+        file.write_text(json.dumps(_mutated(obj, path, 1e308)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "eval", "--model", str(file),
+                                 "--b", "I", "--a", "I")
+        assert (code, out) == (3, "")
+        assert [str(w.message) for w in caught] == []
+        assert err.startswith("model error: ") and err.count("\n") == 1
 
     def test_non_utf8_file_exits_3(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"

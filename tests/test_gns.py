@@ -202,6 +202,22 @@ class TestNullSpace:
         with pytest.raises(GramPropertyError, match="positive"):
             null_space(g)
 
+    # NaN compares false with everything, so both checks are written to fail
+    # on it; an inf entry makes g - g^H NaN
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", [(0, 1), (0, 0)], ids=["off-diagonal", "diagonal"])
+    def test_non_finite_gram_rejected(self, bad, where):
+        g = np.eye(2, dtype=complex)
+        g[where] = g[where[::-1]] = bad
+        with pytest.raises(GramPropertyError, match="hermiticity"):
+            null_space(g)
+
+    def test_overflowing_gram_rejected(self):
+        # finite and hermitian, but its symmetrized copy overflows to inf
+        g = np.full((2, 2), 1e308, dtype=complex)
+        with pytest.raises(GramPropertyError, match="positive"):
+            null_space(g)
+
     def test_error_carries_magnitude(self):
         g = np.diag([1.0, -0.5]).astype(complex)
         try:

@@ -87,6 +87,12 @@ class TestBatchedForward:
             np.testing.assert_allclose(m.forward_vectors([()])[:, 0],
                                        m.forward_vector(()), rtol=0, atol=1e-12)
 
+    def test_empty_word_list(self, rng):
+        for m in all_models(rng):
+            d = len(m.forward_vector(()))
+            assert m.forward_vectors([]).shape == (d, 0)
+            assert m.letter_vectors([(m.slots[0], 0)], []).shape == (1, d, 0)
+
     def test_fill_caches_owned_batch_of_one_vectors(self, rng, monkeypatch):
         for m in all_models(rng):
             words = self._words(rng, m)
@@ -104,12 +110,51 @@ class TestBatchedForward:
             assert all(m.forward_vector(w) is m._forward_cache[w] for w in words)
 
     def test_slot_groups_of_a_word_list(self, qubit_pair_algebra):
-        words = [(), ((1, 0), (2, 2), (1, 1)), ((2, 2), (1, 0)), ((2, 1),)]
-        expected = [(I2, I2), (SX @ SY, SZ), (SX, SZ), (I2, SY)]
-        stacks = slot_groups(qubit_pair_algebra, words, (1, 2))
+        # the fifth word interleaves the third word's letters the other way
+        # round, so the two share a signature and one entry of each stack;
+        # the last word keeps its slot-1 letters in their order, not sorted
+        words = [(), ((1, 0), (2, 2), (1, 1)), ((2, 2), (1, 0)), ((2, 1),),
+                 ((1, 0), (2, 2)), ((1, 1), (2, 2), (1, 0))]
+        expected = [(I2, I2), (SX @ SY, SZ), (SX, SZ), (I2, SY), (SX, SZ),
+                    (SY @ SX, SZ)]
+        stacks, inverse = slot_groups(qubit_pair_algebra, words, (1, 2))
+        assert inverse.tolist() == [0, 1, 2, 3, 2, 4]
+        assert [len(stack) for stack in stacks] == [5, 5]
         for j, groups in enumerate(expected):
             for stack, g in zip(stacks, groups):
-                np.testing.assert_allclose(stack[j], g)
+                np.testing.assert_allclose(stack[inverse[j]], g)
+
+    def test_shared_signatures_match_per_word_route(self, rng):
+        # a two-letter word and its reversal share a signature, as does an
+        # exact repeat; each is gathered from one contraction
+        for m in all_models(rng):
+            words = list(m.algebra.words(2))
+            pick = rng.choice(len(words), min(40, len(words)), replace=False)
+            words = [words[int(i)] for i in pick]
+            words += [w[::-1] for w in words if len(w) == 2] + words[:5]
+            letters = [(f, k) for f in m.slots
+                       for k in range(len(m.algebra.factor(f).basis))]
+            batch = m.forward_vectors(words)
+            acted = m.letter_vectors(letters, words)
+            assert acted.flags.c_contiguous
+            for j, w in enumerate(words):
+                assert np.array_equal(batch[:, j], m.forward_vectors([w])[:, 0])
+                assert np.array_equal(acted[:, :, j],
+                                      m.letter_vectors(letters, [w])[:, :, 0])
+
+    def test_control_l3_basis_matches_per_word_route(self):
+        # 20,629 words with 12,115 distinct signatures
+        m = load_model(MODELS_DIR / "switch_qubit.json").state
+        words = list(m.algebra.words(3))
+        batch = m.forward_vectors(words)
+        assert batch.shape == (4, 20629)
+        for j, w in enumerate(words):
+            assert np.array_equal(batch[:, j], m.forward_vectors([w])[:, 0])
+        letters = [(f, k) for f in m.slots for k in range(len(m.algebra.factor(f).basis))]
+        acted = m.letter_vectors(letters, words)
+        for j in range(0, len(words), 97):
+            assert np.array_equal(acted[:, :, j],
+                                  m.letter_vectors(letters, [words[j]])[:, :, 0])
 
     def test_foreign_letter_raises(self, rng):
         m = random_sequential(rng)
@@ -117,6 +162,49 @@ class TestBatchedForward:
             m.forward_vectors([(), ((3, 0),)])
         with pytest.raises(UnregisteredSlotError):
             m.forward_vector(((1, 0), (3, 0)))
+
+
+class TestColdEvaluation:
+    """eval_bilinear evaluates all of its cold words in one batched pass."""
+
+    COMMITTED = ["sequential_qubit", "switch_qubit", "fuzz_two_branch",
+                 "superspacetime_two_branch"]
+
+    @pytest.mark.parametrize("name", COMMITTED)
+    def test_cold_call_is_one_forward_pass(self, monkeypatch, rng, name):
+        m = load_model(MODELS_DIR / f"{name}.json").state
+        p = random_element(rng, m.algebra, max_len=3, max_terms=6)
+        q = random_element(rng, m.algebra, max_len=3, max_terms=6)
+        calls = []
+        forward = GeneralizedState.forward_vectors
+        monkeypatch.setattr(GeneralizedState, "forward_vectors",
+                            lambda self, words: calls.append(list(words))
+                            or forward(self, words))
+        cold = m.eval_bilinear(p, q)
+        assert len(calls) == 1
+        expected = {w for w, _ in q.items()} | {w[::-1] for w, _ in p.items()}
+        assert expected - {()} <= set(calls[0]) <= expected
+        assert m.eval_bilinear(p, q) == cold
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", COMMITTED)
+    def test_values_equal_the_per_word_route(self, monkeypatch, name):
+        def values():
+            m = load_model(MODELS_DIR / f"{name}.json").state
+            rng = np.random.default_rng(11)
+            out = []
+            for _ in range(40):
+                p = random_element(rng, m.algebra, max_len=3, max_terms=4)
+                q = random_element(rng, m.algebra, max_len=3, max_terms=4)
+                out.append(m.eval_bilinear(p.star(), q))
+            return out
+
+        batched = values()
+        # every word its own batch of one, as a cold forward_vector evaluates it
+        fill = GeneralizedState._fill_cache
+        monkeypatch.setattr(GeneralizedState, "_fill_cache",
+                            lambda self, words: [fill(self, [w]) for w in words])
+        assert batched == values()
 
 
 class TestSequential:

@@ -2,7 +2,10 @@ import pathlib
 
 import pytest
 
+import numpy as np
+
 from causal_kernel import load_model, verify_state
+from causal_kernel.sampling import random_element, random_word
 from causal_kernel.states import GeneralizedState
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -64,3 +67,20 @@ class TestBatchedSuites:
         # models, one per oracle sample (50 by default)
         assert sum(m is state for m in calls) <= 4
         assert len(calls) <= (4 + 50 if name == "sequential_qubit" else 4)
+
+
+class TestRandomElement:
+    @pytest.mark.parametrize("name", COMMITTED)
+    def test_equals_the_sum_of_word_elements(self, name):
+        """The accumulated term dict is the one ``+`` builds, in the same
+        insertion order, from the same ``rng`` calls."""
+        algebra = load_model(MODELS / f"{name}.json").state.algebra
+        fast, slow = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2000):
+            elem = random_element(fast, algebra)
+            out = algebra.zero()
+            for _ in range(int(slow.integers(1, 4))):
+                coeff = complex(slow.normal(), slow.normal())
+                out = out + algebra.word_element(random_word(slow, algebra, 3), coeff)
+            assert list(elem.items()) == list(out.items())
+        assert fast.bit_generator.state == slow.bit_generator.state
