@@ -24,10 +24,10 @@ import numpy as np
 PRUNE_TOL = 1e-13
 EQ_TOL = 1e-10
 MAX_WORD_LEN = 6
-# building a factor's tables holds about eight d**2 x d**2 complex arrays at
-# once (the basis, its copies and stack, the conjugated flat view, its Gram
-# matrix, the inverse and the dual map): 128 * d**4 bytes, capped at the
-# 1 GiB that also caps a dense Gram matrix
+# building a factor's tables holds two d**2 x d**2 complex arrays at once
+# (the Gell-Mann list and its stack, then the stack and the dual map), a
+# tracemalloc peak of 2.0-2.6 such arrays for d >= 6; charged as three,
+# 48 * d**4 bytes, capped at the 1 GiB that also caps a dense Gram matrix
 MAX_TABLE_BYTES = 2**30
 
 CanonicalWord = tuple  # tuple[tuple[int, int], ...]
@@ -87,12 +87,6 @@ def gell_mann_basis(dim: int) -> list[np.ndarray]:
     return mats
 
 
-def _as_readonly(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 class FactorSpec:
     """One factor algebra: M_d(C) with the generalized Gell-Mann basis.
 
@@ -104,26 +98,25 @@ class FactorSpec:
         self.dim = int(dim)
         if self.dim < 1:
             raise FactorSpecError(f"factor {index}: dimension must be positive")
-        table_bytes = 128 * self.dim**4
+        table_bytes = 48 * self.dim**4
         if table_bytes > MAX_TABLE_BYTES:
             raise FactorSpecError(
                 f"factor {index}: dimension {self.dim} needs about "
                 f"{table_bytes / 2**30:.1f} GiB of basis tables, over the limit "
                 f"of {MAX_TABLE_BYTES / 2**30:g} GiB"
             )
-        self.basis = tuple(_as_readonly(b) for b in gell_mann_basis(self.dim))
-        # the basis matrices followed by the identity, for batched lookups
-        self.basis_stack = _as_readonly(np.stack(self.basis + (np.eye(self.dim),)))
-        # flat @ m.ravel() lists tr(B_k^dagger m); the dual map, the inverse
-        # basis Gram matrix times flat, gives the basis coefficients of m
-        flat = self.basis_stack[:-1].reshape(len(self.basis), self.dim**2).conj()
-        self._dual = np.linalg.inv(flat @ flat.conj().T) @ flat
-        self._identity = _as_readonly(np.eye(self.dim))
+        # the one table: the basis matrices followed by the identity, read-only;
+        # basis and identity are views of it
+        eye = np.eye(self.dim, dtype=complex)
+        self.basis_stack = np.stack(gell_mann_basis(self.dim) + [eye])
+        self.basis_stack.setflags(write=False)
+        self.basis = self.basis_stack[:-1]
+        self.identity = self.basis_stack[-1]
+        # tr(B_j^dagger B_k) = 2 delta_jk, so the dual map conj(flat) / 2 gives
+        # the basis coefficients of a traceless m
+        self._dual = self.basis.reshape(len(self.basis), self.dim**2).conj()
+        self._dual /= 2
         self._product_cache: dict[tuple[int, int], tuple[complex, np.ndarray]] = {}
-
-    @property
-    def identity(self) -> np.ndarray:
-        return self._identity
 
     def expand(self, m: np.ndarray) -> tuple[complex, np.ndarray]:
         """Split m into identity and basis components: m = alpha*I + sum c_k B_k."""
@@ -134,7 +127,7 @@ class FactorSpec:
                 f"got shape {m.shape}"
             )
         alpha = complex(np.trace(m)) / self.dim
-        return alpha, self._dual @ (m - alpha * self._identity).ravel()
+        return alpha, self._dual @ (m - alpha * self.identity).ravel()
 
     def basis_product(self, i: int, j: int) -> tuple[complex, np.ndarray]:
         """Expansion of the product B_i B_j, cached."""
@@ -195,13 +188,13 @@ class FreeElement:
             {tuple(reversed(w)): c.conjugate() for w, c in self._terms.items()},
         )
 
-    def isclose(self, other: "FreeElement", tol: float = EQ_TOL) -> bool:
+    def isclose(self, other: "FreeElement") -> bool:
         if not isinstance(other, FreeElement):
             return NotImplemented
         if self.algebra is not other.algebra:
             return False
         for w in self._terms.keys() | other._terms.keys():
-            if abs(self._terms.get(w, 0j) - other._terms.get(w, 0j)) > tol:
+            if abs(self._terms.get(w, 0j) - other._terms.get(w, 0j)) > EQ_TOL:
                 return False
         return True
 
@@ -264,7 +257,6 @@ class FreeAlgebra:
         if not self._factors:
             raise FactorSpecError("at least one factor is required")
         self.factor_indices = tuple(sorted(self._factors))
-        self.max_word_len = MAX_WORD_LEN
 
     def factor(self, index: int) -> FactorSpec:
         try:
@@ -291,7 +283,7 @@ class FreeAlgebra:
     def unit(self) -> FreeElement:
         return FreeElement(self, {(): 1.0 + 0j})
 
-    def word_element(self, word: CanonicalWord, coeff: complex = 1.0) -> FreeElement:
+    def word_element(self, word: CanonicalWord) -> FreeElement:
         """Element for a single canonical word, after checking that every letter
         names a registered basis matrix and no two adjacent letters share a
         factor."""
@@ -303,7 +295,7 @@ class FreeAlgebra:
             if prev == f:
                 raise AlgebraError(f"word is not reduced at factor {f}")
             prev = f
-        return self._make({word: complex(coeff)})
+        return FreeElement(self, {word: 1.0 + 0j})
 
     def embed(self, factor: int, m: np.ndarray) -> FreeElement:
         """Image of a factor matrix in the free product, in canonical form."""
@@ -388,7 +380,7 @@ class FreeAlgebra:
 
     def _expand_traceless(self, letters: list, coeff: complex, out: dict) -> None:
         """Expand a merged, traceless word over the factor bases."""
-        if len(letters) > self.max_word_len:
+        if len(letters) > MAX_WORD_LEN:
             raise _too_long("reduced", len(letters))
         options: list[list[tuple[tuple[int, int], complex]]] = []
         for f, m in letters:
@@ -436,7 +428,7 @@ class FreeAlgebra:
                 continue
             if not l or not r or l[-1][0] != r[0][0]:
                 w = l + r
-                if len(w) > self.max_word_len:
+                if len(w) > MAX_WORD_LEN:
                     raise _too_long("product", len(w))
                 out[w] = out.get(w, 0j) + c
                 continue
@@ -448,7 +440,7 @@ class FreeAlgebra:
             for k, ck in enumerate(coeffs):
                 if abs(ck) > PRUNE_TOL:
                     w = l[:-1] + ((f, k),) + r[1:]
-                    if len(w) > self.max_word_len:
+                    if len(w) > MAX_WORD_LEN:
                         raise _too_long("product", len(w))
                     out[w] = out.get(w, 0j) + c * ck
         return out

@@ -80,7 +80,7 @@ def _cmd_gram(args) -> int:
     model = _load(args.model)
     max_len = args.max_len
     if max_len is None:
-        max_len = default_max_len(model.algebra, gns=False)
+        max_len = default_max_len(model.algebra)
     basis = WordBasis.build(model.algebra, max_len)
     g = gram(model.state, basis)
     if args.format == "csv":

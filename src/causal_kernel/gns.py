@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import CanonicalWord, FreeAlgebra, FreeElement
+from .algebra import MAX_WORD_LEN, CanonicalWord, FreeAlgebra, FreeElement
 from .states import GeneralizedState
 
 GRAM_HERMITIAN_TOL = 1e-9
@@ -76,11 +76,11 @@ class WordBasis:
 
 def basis_refusal(algebra: FreeAlgebra, max_len: int) -> str | None:
     """Why a word basis up to ``max_len`` is refused, or None if it is not:
-    a ``max_len`` beyond the algebra's word-length cap, or a basis whose dense
-    complex Gram matrix would exceed ``MAX_GRAM_BYTES``."""
-    cap = algebra.max_word_len
-    if max_len > cap:
-        return f"max_len {max_len} exceeds the algebra's word-length cap {cap}"
+    a ``max_len`` beyond the word-length cap ``MAX_WORD_LEN``, or a basis
+    whose dense complex Gram matrix would exceed ``MAX_GRAM_BYTES``."""
+    if max_len > MAX_WORD_LEN:
+        return (f"max_len {max_len} exceeds the algebra's word-length cap "
+                f"{MAX_WORD_LEN}")
     n = expected_basis_size(algebra, max_len)
     gram_bytes = n * n * np.dtype(complex).itemsize
     if gram_bytes > MAX_GRAM_BYTES:
@@ -92,17 +92,13 @@ def basis_refusal(algebra: FreeAlgebra, max_len: int) -> str | None:
     return None
 
 
-def default_max_len(algebra: FreeAlgebra, gns: bool = True) -> int:
+def default_max_len(algebra: FreeAlgebra) -> int:
     """The word-length cap used when none is given: ``DEFAULT_MAX_LEN`` if
-    the word basis admits it, else the largest length it admits.  The gns
-    pipeline needs at least 1, and its letter products (length max_len + 1)
-    within the algebra's word-length cap; a bare word basis (``gns=False``)
-    needs neither.  When nothing is admitted, the lowest length, which is
-    then refused with its reason."""
-    low, top = (1, algebra.max_word_len - 1) if gns else (0, algebra.max_word_len)
-    admitted = (n for n in range(min(DEFAULT_MAX_LEN, top), low - 1, -1)
+    the word basis admits it, else the largest length it admits; 0, the unit
+    word alone, if it admits no longer one."""
+    admitted = (n for n in range(DEFAULT_MAX_LEN, 0, -1)
                 if basis_refusal(algebra, n) is None)
-    return next(admitted, low)
+    return next(admitted, 0)
 
 
 def expected_basis_size(algebra: FreeAlgebra, max_len: int) -> int:
@@ -183,12 +179,18 @@ def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
     are Ritz vectors rescaled to orthonormality in the G-inner product.
     """
     g = np.asarray(g, dtype=complex)
+    # one n x n buffer holds g - g^H and then (g + g^H) / 2, so the split
+    # holds two n x n arrays besides eigvalsh's own copy
+    h = np.empty(g.shape, dtype=complex)
     # written so that NaN fails them: a non-finite entry makes g - g^H NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        herm_err = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
+        np.subtract(g, np.conj(g.T, out=h), out=h)
+        herm_err = float(np.max(np.abs(h))) if g.size else 0.0
         if not herm_err <= GRAM_HERMITIAN_TOL:
             raise GramPropertyError("hermiticity", herm_err)
-        h = (g + g.conj().T) / 2.0
+        np.conj(g.T, out=h)
+        h += g
+        h /= 2.0
     evals = np.linalg.eigvalsh(h)
     if evals.size and not evals[0] >= -GRAM_PSD_TOL:
         raise GramPropertyError("positive semidefiniteness", float(-evals[0]))
@@ -398,28 +400,21 @@ def build_gns(
     """Run the full pipeline; representation steps run only when permitted:
     the left-ideal check passes and ``max_len >= 2``.
 
-    ``max_len`` defaults to ``default_max_len(state.algebra)``.  ``tol`` is
-    both the relative null-space cutoff and the left-ideal tolerance.
-    Refuses up front a ``tol`` that is not a finite number in (0, 1), a
-    ``max_len`` that leaves the representation domain empty, letter
-    products for the left-ideal check (length ``max_len + 1``) above the
-    algebra's word-length cap, and a basis that is too large
-    (``WordBasis.build``).
+    ``max_len`` defaults to ``default_max_len(state.algebra)``, at least 1.
+    ``tol`` is both the relative null-space cutoff and the left-ideal
+    tolerance.  Refuses up front a ``tol`` that is not a finite number in
+    (0, 1), a ``max_len`` that leaves the representation domain empty, and
+    what ``basis_refusal`` names (``WordBasis.build``), the same bases
+    ``gram`` refuses.
     """
     if not 0 < tol < 1:
         raise GnsError(f"tol {tol!r} is not a finite number in (0, 1)")
     if max_len is None:
-        max_len = default_max_len(state.algebra)
-    cap = state.algebra.max_word_len
+        max_len = max(1, default_max_len(state.algebra))
     if max_len < 1:
         raise GnsError(
             f"max_len {max_len} leaves the representation domain "
             "(words of length <= max_len - 1) empty"
-        )
-    if max_len + 1 > cap:
-        raise GnsError(
-            f"max_len {max_len} needs letter products of length {max_len + 1}, "
-            f"above the algebra's word-length cap {cap}"
         )
     basis = WordBasis.build(state.algebra, max_len)
     g = gram(state, basis)

@@ -45,15 +45,13 @@ def random_word(
     rng: np.random.Generator,
     algebra: FreeAlgebra,
     max_len: int,
-    factors=None,
 ) -> CanonicalWord:
     """Random canonical word: alternating factors, random basis indices."""
-    indices = tuple(factors) if factors is not None else algebra.factor_indices
     length = int(rng.integers(0, max_len + 1))
     word = []
     prev = None
     for _ in range(length):
-        choices = [f for f in indices if f != prev]
+        choices = [f for f in algebra.factor_indices if f != prev]
         if not choices:
             break
         f = int(choices[int(rng.integers(len(choices)))])

@@ -157,8 +157,10 @@ class GeneralizedState:
     A subclass defines ``_contract`` over stacked slot groups.  Single
     forward vectors are cached per canonical word (``_fill_cache`` warms
     the cache for a word list in one batched pass, and ``eval_bilinear``
-    fills all of its misses with one such call), and instances are
-    immutable after construction, so concurrent reads are safe and
+    fills all of its misses with one such call).  That cache is the one
+    mutable part of an instance: a fill only adds entries, and a word's
+    ``r(w)`` does not depend on the batch it is computed in, so concurrent
+    fills store equal values and concurrent reads are safe and
     deterministic.
     """
 

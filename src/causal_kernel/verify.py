@@ -94,7 +94,6 @@ def _recovery_suite(state: SequentialModel, rng: np.random.Generator, samples: i
         y = random_matrix(rng, d)
         model = SequentialModel(d, u2 @ psi, [u1 @ u2.conj().T])
         elem = model.algebra.embed(1, x) * model.algebra.embed(2, y)
-        model._fill_cache([(), *(w for w, _ in elem.items())])
         value = model.eval_bilinear(model.algebra.unit(), elem)
         reference = oracle.heisenberg_correlator(psi, u1, u2, x, y)
         violation = max(violation, abs(value - reference))

@@ -108,12 +108,12 @@ def test_criterion_1_algebra_laws():
         a = random_element(rng, algebra, max_len=2)
         b = random_element(rng, algebra, max_len=2)
         c = random_element(rng, algebra, max_len=2)
-        assert ((a * b) * c).isclose(a * (b * c), tol=1e-10)
-        assert (a * (b + c)).isclose(a * b + a * c, tol=1e-10)
-        assert (a * algebra.unit()).isclose(a, tol=1e-10)
-        assert (algebra.unit() * a).isclose(a, tol=1e-10)
-        assert a.star().star().isclose(a, tol=1e-10)
-        assert (a * b).star().isclose(b.star() * a.star(), tol=1e-10)
+        assert ((a * b) * c).isclose(a * (b * c))
+        assert (a * (b + c)).isclose(a * b + a * c)
+        assert (a * algebra.unit()).isclose(a)
+        assert (algebra.unit() * a).isclose(a)
+        assert a.star().star().isclose(a)
+        assert (a * b).star().isclose(b.star() * a.star())
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s"
     _report(1, "algebra-laws", True, f"{elapsed:.1f}s, confluence gap {worst:.1e}")
@@ -217,9 +217,11 @@ def test_criterion_5_switch_semantics():
     switch = SwitchModel(2, np.kron(KET0, psi_t), *us)
     single = FuzzModel(2, psi_t, [FuzzBranch(1.0, "yx", pre=us[2], mid=us[1], post=us[0])])
     worst_single = 0.0
+    # words on factors 1 and 2 alone, which avoid the control slots
+    qubit_pair = FreeAlgebra([FactorSpec(1, 2), FactorSpec(2, 2)])
     for _ in range(50):
-        b = random_word(rng, single.algebra, max_len=3, factors=(1, 2))
-        a = random_word(rng, single.algebra, max_len=3, factors=(1, 2))
+        b = random_word(rng, qubit_pair, max_len=3)
+        a = random_word(rng, qubit_pair, max_len=3)
         worst_single = max(
             worst_single, abs(single.eval_words(b, a) - switch.eval_words(b, a))
         )
@@ -272,7 +274,7 @@ def _domain_null_violation(model, basis, null_vectors):
     value, letter, coeffs = worst
     witness = algebra.zero()
     for col, i in enumerate(dom):
-        witness = witness + algebra.word_element(basis.words[i], coeffs[col])
+        witness = witness + complex(coeffs[col]) * algebra.word_element(basis.words[i])
     return value, letter, witness
 
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,17 +68,40 @@ class TestFactorSpec:
             FactorSpec(1, dim)
 
     def test_oversized_dimension_is_refused_before_allocating(self):
-        # dimension 100 would need about 12 GiB of tables
+        # dimension 100 would need about 4.5 GiB of tables
         t0 = time.perf_counter()
         with pytest.raises(FactorSpecError, match="dimension 100 .* limit of 1 GiB"):
             FactorSpec(3, 100)
         assert time.perf_counter() - t0 < 1.0
 
     def test_table_limit_boundary(self, monkeypatch):
-        monkeypatch.setattr(algebra, "MAX_TABLE_BYTES", 128 * 3**4)
+        monkeypatch.setattr(algebra, "MAX_TABLE_BYTES", 48 * 3**4)
         assert FactorSpec(1, 3).dim == 3
         with pytest.raises(FactorSpecError, match="dimension 4"):
             FactorSpec(1, 4)
+
+    # the cost model, 48 * d**4 bytes, bounds the measured peak of building
+    # the tables, and at d = 32 is not loose by more than a factor of two
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_table_cost_model_bounds_the_measured_peak(self, dim):
+        tracemalloc.start()
+        try:
+            FactorSpec(1, dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * dim**4
+        if dim == 32:
+            assert peak >= 24 * dim**4
+
+    def test_basis_and_identity_are_read_only_views_of_one_table(self):
+        spec = FactorSpec(1, 3)
+        assert spec.basis_stack.shape == (9, 3, 3)
+        assert spec.basis.base is spec.basis_stack
+        assert spec.identity.base is spec.basis_stack
+        np.testing.assert_array_equal(spec.identity, np.eye(3))
+        for table in (spec.basis_stack, spec.basis, spec.identity):
+            assert not table.flags.writeable
 
     def test_expand_is_exact(self, rng):
         for dim in (1, 2, 3, 4):
@@ -249,7 +273,7 @@ class TestStar:
 
     def test_order_reversal_with_conjugation(self, qubit_pair_algebra):
         alg = qubit_pair_algebra
-        el = alg.word_element(((1, 0), (2, 1)), coeff=1j)
+        el = 1j * alg.word_element(((1, 0), (2, 1)))
         assert el.star().terms == {((2, 1), (1, 0)): -1j}
 
     def test_involution(self, qubit_pair_algebra, rng):

@@ -92,7 +92,7 @@ class TestEval:
 class TestModelErrors:
     def test_invalid_model_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        obj = json.load(open(SEQ))
+        obj = json.loads(pathlib.Path(SEQ).read_text())
         obj["unitaries"][0][0][0] = [2.0, 0.0]  # breaks unitarity
         path.write_text(json.dumps(obj))
         code, _, err = run(capsys, "eval", "--model", str(path),
@@ -107,7 +107,7 @@ class TestModelErrors:
 
     def test_dimension_mismatch_exits_4(self, capsys, tmp_path):
         path = tmp_path / "dim.json"
-        obj = json.load(open(SEQ))
+        obj = json.loads(pathlib.Path(SEQ).read_text())
         obj["symbols"]["x"]["matrix"] = [[[1.0, 0.0]] * 3] * 3
         path.write_text(json.dumps(obj))
         code, _, err = run(capsys, "eval", "--model", str(path),
@@ -143,7 +143,7 @@ class TestModelErrors:
     ], ids=["nan", "unknown-factor", "dim-text", "family-list", "family-object"])
     def test_malformed_numbers_exit_3(self, capsys, tmp_path, edit):
         path = tmp_path / "bad.json"
-        obj = json.load(open(SEQ))
+        obj = json.loads(pathlib.Path(SEQ).read_text())
         edit(obj)
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "eval", "--model", str(path),
@@ -312,8 +312,9 @@ class TestGramAndGns:
         assert (code, out) == (5, "")
         assert "null-space split" in err
 
+    # gns admits the bases gram admits: --max-len 6 runs, 7 is over the cap
     def test_gns_max_len_above_word_cap_exits_5(self, capsys):
-        code, out, err = run(capsys, "gns", "--model", SEQ, "--max-len", "6")
+        code, out, err = run(capsys, "gns", "--model", SEQ, "--max-len", "7")
         assert code == 5
         assert out == ""
         assert err.startswith("gns error:")

@@ -1,5 +1,6 @@
 import dataclasses
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,20 @@ class TestNullSpace:
         with pytest.raises(GramPropertyError, match="positive"):
             null_space(g)
 
+    def test_split_holds_one_buffer_besides_its_input(self, rng):
+        # g - g^H and (g + g^H) / 2 share one n x n complex buffer, and
+        # |g - g^H| is real, half of one; eigvalsh's own copy is not traced
+        n = 600
+        r = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        g = r.conj().T @ r
+        tracemalloc.start()
+        try:
+            null_space(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 16 * n * n
+
     def test_error_carries_magnitude(self):
         g = np.diag([1.0, -0.5]).astype(complex)
         try:
@@ -287,10 +302,12 @@ class TestLeftIdeal:
 
     # the null space of the Gram block on words of length <= L is the null
     # space at max_len L, and the letter products of those words are the
-    # same, so the in-cap violation at L + 1 is the unrestricted one at L
+    # same, so the in-cap violation at L + 1 is the unrestricted one at L;
+    # sequential runs up to max_len 6, the word-length cap
     @pytest.mark.parametrize("path, values", [
         (SWITCH, [5.8401388576620885]),
-        (SEQUENTIAL, [4.0, 12.923076923076923, 40.0]),
+        (SEQUENTIAL, [4.0, 12.923076923076923, 40.0, 120.79338842975189,
+                      364.00000000000017]),
     ], ids=["switch", "sequential"])
     def test_in_cap_violation_is_unrestricted_one_length_below(self, path, values):
         state = load_model(path).state
@@ -483,7 +500,7 @@ class TestRefusals:
             WordBasis.build(algebra, 2)
 
     @pytest.mark.parametrize("max_len, match", [
-        (0, "domain"), (-1, "domain"), (6, "word-length cap 6")])
+        (0, "domain"), (-1, "domain"), (7, "word-length cap 6")])
     def test_build_gns_refuses_up_front(self, rng, max_len, match):
         with pytest.raises(GnsError, match=match):
             build_gns(random_sequential(rng), max_len=max_len)

@@ -362,10 +362,10 @@ class TestSwitchState:
 
 
 class TestFuzz:
-    def test_single_branch_matches_concentrated_switch(self, rng):
+    def test_single_branch_matches_concentrated_switch(self, rng, qubit_pair_algebra):
         # a weight-1 single-branch model agrees with the two-branch model
         # whose control sits on the matching basis vector, on words that
-        # avoid the control slots
+        # avoid the control slots (drawn on factors 1 and 2 alone)
         us = [random_unitary(rng, 2) for _ in range(6)]
         psi_t = random_state_vector(rng, 2)
         switch = SwitchModel(2, np.kron(KET0, psi_t), *us)
@@ -373,8 +373,8 @@ class TestFuzz:
             FuzzBranch(1.0, "yx", pre=us[2], mid=us[1], post=us[0]),
         ])
         for _ in range(20):
-            b = random_word(rng, single.algebra, max_len=3, factors=(1, 2))
-            a = random_word(rng, single.algebra, max_len=3, factors=(1, 2))
+            b = random_word(rng, qubit_pair_algebra, max_len=3)
+            a = random_word(rng, qubit_pair_algebra, max_len=3)
             assert abs(single.eval_words(b, a) - switch.eval_words(b, a)) < 1e-10
 
     def test_two_branch_reduction_equals_switch(self, rng):
@@ -530,7 +530,7 @@ class TestSuperspacetime:
         expected = phi.conj() @ (segs[2] @ y @ segs[1] @ x @ segs[0] @ psi_t)
         assert abs(amp - expected) < 1e-10
 
-    def test_identical_branches_collapse_to_single(self, rng):
+    def test_identical_branches_collapse_to_single(self, rng, qubit_pair_algebra):
         hams = tuple(np.asarray(h, dtype=complex) for h in (SX, SZ, SY))
         times = (0.4, 0.9, 0.2)
         psi_t = random_state_vector(rng, 2)
@@ -539,8 +539,8 @@ class TestSuperspacetime:
         double = SuperspacetimeModel(2, ("a", "b"), psi_t, [branch, twin])
         single = SuperspacetimeModel(2, ("a", "b"), psi_t, [branch])
         for _ in range(20):
-            b = random_word(rng, single.algebra, max_len=3, factors=(1, 2))
-            a = random_word(rng, single.algebra, max_len=3, factors=(1, 2))
+            b = random_word(rng, qubit_pair_algebra, max_len=3)
+            a = random_word(rng, qubit_pair_algebra, max_len=3)
             assert abs(double.eval_words(b, a) - single.eval_words(b, a)) < 1e-10
 
     def test_rejects_non_hermitian_hamiltonian(self, rng):

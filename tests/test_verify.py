@@ -81,6 +81,6 @@ class TestRandomElement:
             out = algebra.zero()
             for _ in range(int(slow.integers(1, 4))):
                 coeff = complex(slow.normal(), slow.normal())
-                out = out + algebra.word_element(random_word(slow, algebra, 3), coeff)
+                out = out + coeff * algebra.word_element(random_word(slow, algebra, 3))
             assert list(elem.items()) == list(out.items())
         assert fast.bit_generator.state == slow.bit_generator.state
