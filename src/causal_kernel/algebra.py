@@ -42,7 +42,8 @@ class FactorSpecError(AlgebraError):
 
 
 class UnknownFactorError(AlgebraError):
-    """A letter refers to a factor index that is not registered."""
+    """A letter names a factor that is not registered, or a basis index its
+    factor does not have."""
 
 
 class DimensionMismatchError(AlgebraError):
@@ -264,6 +265,15 @@ class FreeAlgebra:
         except KeyError:
             raise UnknownFactorError(f"unknown factor index {index}") from None
 
+    def letter_factor(self, f: int, k: int) -> FactorSpec:
+        """The factor of the letter ``(f, k)``, after checking that ``f`` is
+        registered and ``k`` indexes one of its basis matrices: the one letter
+        check that every word reader goes through."""
+        spec = self.factor(f)
+        if not 0 <= k < len(spec.basis):
+            raise UnknownFactorError(f"factor {f} has no basis index {k}")
+        return spec
+
     def _require_same(self, element: FreeElement) -> None:
         if element.algebra is not self:
             raise AlgebraMismatchError(
@@ -290,8 +300,7 @@ class FreeAlgebra:
         word = tuple((int(f), int(k)) for f, k in word)
         prev = None
         for f, k in word:
-            if not 0 <= k < len(self.factor(f).basis):
-                raise UnknownFactorError(f"factor {f} has no basis index {k}")
+            self.letter_factor(f, k)
             if prev == f:
                 raise AlgebraError(f"word is not reduced at factor {f}")
             prev = f
@@ -508,7 +517,7 @@ def induced_hom(
             if f not in targets:
                 raise UnknownFactorError(f"no target homomorphism for factor {f}")
             images = targets[f]
-            spec = element.algebra.factor(f)
+            spec = element.algebra.letter_factor(f, idx)
             if len(images) != len(spec.basis):
                 raise DimensionMismatchError(
                     f"target for factor {f} must list {len(spec.basis)} basis images"

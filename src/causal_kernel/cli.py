@@ -27,7 +27,7 @@ from .expr import ExprError, eval_expr, parse
 from .gns import (NULL_TOL, GnsError, WordBasis, build_gns, default_max_len, gram,
                   report_obj)
 from .models import LoadedModel, ModelFormatError, load_model
-from .states import ModelValidationError, StateError
+from .states import ModelValidationError
 from .verify import verify_state
 
 log = logging.getLogger("causal_kernel")
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     except (ModelFormatError, ModelValidationError) as exc:
         sys.stderr.write(f"model error: {exc}\n")
         return EXIT_MODEL_ERROR
-    except (AlgebraError, StateError) as exc:
+    except AlgebraError as exc:
         sys.stderr.write(f"dimension error: {exc}\n")
         return EXIT_DIMENSION_ERROR
     except GnsError as exc:

@@ -114,8 +114,8 @@ class LoadedModel:
 
 def _auto_symbols(state: GeneralizedState) -> dict[str, FreeElement]:
     out: dict[str, FreeElement] = {}
-    prefixes = slot_prefixes(state.family, len(state.slots))
-    for prefix, factor in zip(prefixes, state.slots):
+    slots = state.algebra.factor_indices
+    for prefix, factor in zip(slot_prefixes(state.family, len(slots)), slots):
         n = len(state.algebra.factor(factor).basis)
         for k in range(n):
             out[f"{prefix}{k + 1}"] = state.algebra.word_element(((factor, k),))
@@ -128,14 +128,15 @@ def _user_symbols(state: GeneralizedState, spec) -> dict[str, FreeElement]:
     if not isinstance(spec, dict):
         raise ModelFormatError("symbols: expected an object of name -> entry")
     out = {}
+    slots = state.algebra.factor_indices
     for name, entry in spec.items():
         if not isinstance(entry, dict):
             raise ModelFormatError(f"symbols.{name}: expected an object")
         factor = _int_from(_require(entry, "factor", f"symbols.{name}"),
                            f"symbols.{name}.factor")
-        if factor not in state.slots:
+        if factor not in slots:
             raise ModelFormatError(
-                f"symbols.{name}.factor: {factor} is not one of the slots {state.slots}"
+                f"symbols.{name}.factor: {factor} is not one of the slots {slots}"
             )
         matrix = _matrix_from(_require(entry, "matrix", f"symbols.{name}"),
                               f"symbols.{name}.matrix")

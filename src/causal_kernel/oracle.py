@@ -59,29 +59,26 @@ def chain_amplitude(ops, psi: np.ndarray, phi: np.ndarray) -> complex:
     return complex(row @ psi)
 
 
-def _slot_products(
-    algebra: FreeAlgebra, word: CanonicalWord, slots
-) -> list[np.ndarray]:
-    """Grouping reimplemented: per-slot letter products in appearance order."""
-    prods = []
-    for f in slots:
-        prods.append(np.eye(algebra.factor(f).dim, dtype=complex))
-    index_of = {f: i for i, f in enumerate(slots)}
-    for f, k in word:
-        i = index_of[f]
-        prods[i] = prods[i] @ algebra.factor(f).basis[k]
-    return prods
+def _letter_matrices(
+    algebra: FreeAlgebra, word: CanonicalWord
+) -> list[tuple[int, np.ndarray]]:
+    """Each letter's factor and basis matrix, read through the algebra's
+    letter check."""
+    return [(f, algebra.letter_factor(f, k).basis[k]) for f, k in word]
 
 
 def _star_word_matrices(
     algebra: FreeAlgebra, word: CanonicalWord
 ) -> list[tuple[int, np.ndarray]]:
     """Letters of the word adjoint: reversed order, each matrix daggered."""
-    return [(f, _dagger(algebra.factor(f).basis[k])) for f, k in reversed(tuple(word))]
+    return [(f, _dagger(m)) for f, m in reversed(_letter_matrices(algebra, word))]
 
 
-def _slot_products_from_matrices(letters, slots, dims) -> list[np.ndarray]:
-    prods = [np.eye(d, dtype=complex) for d in dims]
+def _slot_products(algebra: FreeAlgebra, letters) -> list[np.ndarray]:
+    """Grouping reimplemented: per-factor products of ``(factor, matrix)``
+    letters in appearance order."""
+    slots = algebra.factor_indices
+    prods = [np.eye(algebra.factor(f).dim, dtype=complex) for f in slots]
     index_of = {f: i for i, f in enumerate(slots)}
     for f, m in letters:
         i = index_of[f]
@@ -91,13 +88,12 @@ def _slot_products_from_matrices(letters, slots, dims) -> list[np.ndarray]:
 
 def _sequential_bruteforce(model, b: CanonicalWord, a: CanonicalWord) -> complex:
     algebra = model.algebra
-    slots = model.slots
-    a_groups = _slot_products(algebra, a, slots)
-    b_groups = _slot_products(algebra, b, slots)
+    a_groups = _slot_products(algebra, _letter_matrices(algebra, a))
+    b_groups = _slot_products(algebra, _letter_matrices(algebra, b))
     us = [np.asarray(u, dtype=complex) for u in model.unitaries]
     psi = np.asarray(model.psi, dtype=complex)
     d = psi.shape[0]
-    n = len(slots)
+    n = len(a_groups)
     # right chain: A_1 U_1 A_2 ... A_n |psi>
     right_ops = []
     for i in range(n - 1):
@@ -144,16 +140,13 @@ def _switchlike_middle(branch_data, control_dim, x, y) -> np.ndarray:
 
 def _switchlike_bruteforce(model, b: CanonicalWord, a: CanonicalWord) -> complex:
     algebra = model.algebra
-    slots = model.slots
-    dims = [algebra.factor(f).dim for f in slots]
     branch_data = _branch_data(model)
     control_dim = len(branch_data)
     psi = np.asarray(model.psi, dtype=complex)
     total_dim = psi.shape[0]
 
-    xa, ya, ua, va = _slot_products(algebra, a, slots)
-    b_star = _star_word_matrices(algebra, b)
-    xb, yb, ub, vb = _slot_products_from_matrices(b_star, slots, dims)
+    xa, ya, ua, va = _slot_products(algebra, _letter_matrices(algebra, a))
+    xb, yb, ub, vb = _slot_products(algebra, _star_word_matrices(algebra, b))
 
     mid_a = _switchlike_middle(branch_data, control_dim, xa, ya)
     mid_b = _switchlike_middle(branch_data, control_dim, xb, yb)

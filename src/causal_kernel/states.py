@@ -45,14 +45,6 @@ UNIT_OMEGA_TOL = 1e-10
 _factor = itemgetter(0)
 
 
-class StateError(Exception):
-    """Base class for state-evaluation failures."""
-
-
-class UnregisteredSlotError(StateError):
-    """A word letter belongs to a factor that is not one of the state's slots."""
-
-
 class ModelValidationError(Exception):
     """Model data violates a structural requirement (norms, unitarity, weights)."""
 
@@ -96,21 +88,12 @@ def _check_state_vector(name: str, psi: np.ndarray, dim: int) -> np.ndarray:
     return psi
 
 
-def _check_slots(factors: set, slots: Sequence[int]) -> None:
-    stray = factors.difference(slots)
-    if stray:
-        raise UnregisteredSlotError(
-            f"letter from factor {min(stray)} does not belong to slots {tuple(slots)}"
-        )
-
-
 def slot_groups(
-    algebra: FreeAlgebra,
-    words: Sequence[CanonicalWord],
-    slots: Sequence[int],
+    algebra: FreeAlgebra, words: Sequence[CanonicalWord]
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-slot letter products of every distinct slot signature of ``words``,
-    one ``(m, d, d)`` stack per slot, and each word's signature index.
+    one ``(m, d, d)`` stack per factor of ``algebra`` in index order, and
+    each word's signature index.
 
     A word's signature is its letters stably sorted by factor.  Letters of
     different slots act on different slot groups, so words that differ only
@@ -120,9 +103,9 @@ def slot_groups(
     order, or the slot's identity when it has none.  Each slot's stack is
     built one within-slot letter position at a time, with one batched matmul
     against the slot's stacked basis (shorter runs are padded with the
-    identity).
+    identity).  The algebra checks every letter of each distinct signature;
+    a bad letter raises ``UnknownFactorError``.
     """
-    _check_slots({f for word in words for f, _ in word}, slots)
     index: dict[CanonicalWord, int] = {}
     inverse = np.array(
         [index.setdefault(tuple(sorted(w, key=_factor)), len(index)) for w in words],
@@ -130,20 +113,24 @@ def slot_groups(
     )
     # a signature holds each slot's letters as one run, so a slot without
     # letters keeps the shared empty run
-    runs = {f: [[]] * len(index) for f in slots}
+    runs = {f: [[]] * len(index) for f in algebra.factor_indices}
     for s, sig in enumerate(index):
+        for f, k in sig:
+            algebra.letter_factor(f, k)
         for f, run in groupby(sig, _factor):
             runs[f][s] = [k for _, k in run]
     stacks = []
-    for f in slots:
+    for f in algebra.factor_indices:
         spec = algebra.factor(f)
-        # pad with the identity, which sits after the basis in basis_stack
-        pad = len(spec.basis)
+        # one flat index list, runs padded with the identity (after the basis
+        # in basis_stack); filled in place at its full size, since a list
+        # grown run by run reallocates many times and, on the 727-word
+        # sequential basis, left heap holes worth one n x n array of peak RSS
         depth = max(1, max(map(len, runs[f]), default=0))
-        mats = spec.basis_stack[
-            np.array([ks + [pad] * (depth - len(ks)) for ks in runs[f]], dtype=np.intp)
-            .reshape(len(index), depth)
-        ]
+        flat = [len(spec.basis)] * (len(index) * depth)
+        for j, ks in enumerate(runs[f]):
+            flat[j * depth:j * depth + len(ks)] = ks
+        mats = spec.basis_stack[np.array(flat, dtype=np.intp).reshape(len(index), depth)]
         stack = mats[:, 0]
         for r in range(1, depth):
             stack = stack @ mats[:, r]
@@ -166,13 +153,13 @@ class GeneralizedState:
 
     family = "abstract"
 
-    def __init__(self, algebra: FreeAlgebra, slots: Sequence[int]):
+    def __init__(self, algebra: FreeAlgebra):
         self.algebra = algebra
-        self.slots = tuple(slots)
         self._forward_cache: dict[CanonicalWord, np.ndarray] = {}
 
     def _contract(self, *groups: np.ndarray) -> np.ndarray:
-        """Forward vectors ``(n, D)`` from one ``(n, d, d)`` group stack per slot."""
+        """Forward vectors ``(n, D)`` from one ``(n, d, d)`` group stack per
+        factor, in index order."""
         raise NotImplementedError
 
     def forward_vector(self, word: CanonicalWord) -> np.ndarray:
@@ -196,7 +183,7 @@ class GeneralizedState:
         """The columns ``r(w)`` for every word, shape ``(D, n)``, in one pass
         that contracts each distinct slot signature once; it bypasses the
         per-word cache."""
-        groups, inverse = slot_groups(self.algebra, words, self.slots)
+        groups, inverse = slot_groups(self.algebra, words)
         return self._contract(*groups)[inverse].T
 
     def letter_vectors(
@@ -211,13 +198,13 @@ class GeneralizedState:
         so each letter is one contraction of the words' own slot groups,
         taken once per distinct slot signature.
         """
-        _check_slots({f for f, _ in letters}, self.slots)
-        groups, inverse = slot_groups(self.algebra, words, self.slots)
+        specs = [self.algebra.letter_factor(f, k) for f, k in letters]
+        groups, inverse = slot_groups(self.algebra, words)
         out = []
-        for f, k in letters:
-            i = self.slots.index(f)
+        for spec, (f, k) in zip(specs, letters):
+            i = self.algebra.factor_indices.index(f)
             acted = list(groups)
-            acted[i] = self.algebra.factor(f).basis_stack[k] @ groups[i]
+            acted[i] = spec.basis_stack[k] @ groups[i]
             out.append(self._contract(*acted).T)
         return np.stack(out).take(inverse, axis=2)
 
@@ -295,7 +282,7 @@ class SequentialModel(GeneralizedState):
             for k, u in enumerate(unitaries)
         )
         algebra = FreeAlgebra([FactorSpec(i, dim) for i in range(1, n + 1)])
-        super().__init__(algebra, range(1, n + 1))
+        super().__init__(algebra)
 
     def _contract(self, *groups: np.ndarray) -> np.ndarray:
         v = (groups[-1] @ self.psi)[..., None]
@@ -375,14 +362,13 @@ class FuzzModel(GeneralizedState):
             )
         self.dim = dim
         self.branches = tuple(checked)
-        self.control_dim = len(checked)
-        total = self.control_dim * dim
+        total = len(checked) * dim
         self.psi = _check_state_vector("psi", psi, total)
         # the control factors first: their tables are the largest, so an
         # oversized model is refused before any target table is built
         control = [FactorSpec(3, total), FactorSpec(4, total)]
         algebra = FreeAlgebra([FactorSpec(1, dim), FactorSpec(2, dim), *control])
-        super().__init__(algebra, (1, 2, 3, 4))
+        super().__init__(algebra)
         norm_err = self.unit_check()
         if not norm_err <= UNIT_OMEGA_TOL:
             raise ModelValidationError(
@@ -395,7 +381,7 @@ class FuzzModel(GeneralizedState):
     ) -> np.ndarray:
         """``v M(x, y) u psi`` with ``M = sum_k w_k |k><k| (x) chain_k(x, y)``:
         branch k acts on the k-th control block of ``u psi``."""
-        t = (u @ self.psi).reshape(len(u), self.control_dim, self.dim, 1)
+        t = (u @ self.psi).reshape(len(u), len(self.branches), self.dim, 1)
         s = np.concatenate(
             [br.weight * br.apply(x, y, t[:, k]) for k, br in enumerate(self.branches)],
             axis=1,

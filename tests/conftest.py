@@ -32,7 +32,7 @@ class WordMapState(GeneralizedState):
     family = "wordmap"
 
     def __init__(self, algebra, forward):
-        super().__init__(algebra, algebra.factor_indices)
+        super().__init__(algebra)
         self._fn = forward
 
     def forward_vectors(self, words):

@@ -12,6 +12,7 @@ from causal_kernel.algebra import (
     FactorSpec,
     FactorSpecError,
     FreeAlgebra,
+    FreeElement,
     UnknownFactorError,
     WordLengthError,
     gell_mann_basis,
@@ -341,6 +342,14 @@ class TestInducedHom:
             assert via_normalize.isclose(via_embed)
             diff = induced_hom(via_normalize, targets) - induced_hom(via_embed, targets)
             assert np.max(np.abs(diff)) < 1e-10
+
+    @pytest.mark.parametrize("letter", [(1, 3), (1, -1)])
+    def test_bad_letter_rejected(self, qubit_pair_algebra, letter):
+        # index 3 is past the basis and -1 would wrap to its last image
+        targets = {1: [SX, SY, SZ], 2: [SX, SY, SZ]}
+        element = FreeElement(qubit_pair_algebra, {(letter,): 1 + 0j})
+        with pytest.raises(UnknownFactorError, match="has no basis index"):
+            induced_hom(element, targets)
 
     def test_inconsistent_target_dims_rejected(self, qubit_pair_algebra):
         targets = {1: [SX, SY, SZ], 2: [np.eye(3)] * 3}

@@ -1,18 +1,30 @@
 import copy
 import functools
+import importlib
+import inspect
 import json
 import operator
+import os
 import pathlib
+import pkgutil
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
+import causal_kernel
 from causal_kernel import cli
+from causal_kernel.algebra import AlgebraError
 from causal_kernel.cli import main
-from causal_kernel.expr import MAX_DEPTH
+from causal_kernel.expr import MAX_DEPTH, ExprError
+from causal_kernel.gns import GnsError
+from causal_kernel.models import ModelFormatError
+from causal_kernel.states import ModelValidationError
 
-MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODELS_DIR = ROOT / "models"
 SEQ = str(MODELS_DIR / "sequential_qubit.json")
 SWITCH = str(MODELS_DIR / "switch_qubit.json")
 
@@ -493,3 +505,72 @@ class TestOptionSets:
             main([command, *SUBCOMMANDS[command][0], "--format", "csv"])
         assert exc.value.code == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+# the exception bases cli.main catches, each with its documented exit code
+# and an instance to raise
+EXIT_OF_BASE = [
+    (ExprError, 2, ExprError(1, 1, "stub")),
+    (ModelFormatError, 3, ModelFormatError("stub")),
+    (ModelValidationError, 3, ModelValidationError("stub")),
+    (AlgebraError, 4, AlgebraError("stub")),
+    (GnsError, 5, GnsError("stub")),
+]
+
+
+def _package_exceptions():
+    for info in pkgutil.iter_modules(causal_kernel.__path__):
+        module = importlib.import_module(f"causal_kernel.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, Exception) and cls.__module__ == module.__name__:
+                yield cls
+
+
+class TestExitCodes:
+    """Every failure ends in a documented exit code."""
+
+    def test_every_package_exception_has_a_mapped_base(self):
+        found = sorted(_package_exceptions(), key=lambda cls: cls.__name__)
+        assert len(found) >= len(EXIT_OF_BASE)
+        bases = tuple(base for base, _, _ in EXIT_OF_BASE)
+        unmapped = [cls.__name__ for cls in found if not issubclass(cls, bases)]
+        assert unmapped == []
+
+    @pytest.mark.parametrize("base, code, exc", EXIT_OF_BASE,
+                             ids=[base.__name__ for base, _, _ in EXIT_OF_BASE])
+    def test_main_maps_each_base_to_its_code(self, capsys, monkeypatch,
+                                             base, code, exc):
+        def raises():
+            raise exc
+
+        monkeypatch.setattr(cli, "demo_switch_report", raises)
+        assert run(capsys, "demo-switch")[0] == code
+
+
+def _cli_process(argv, log_level):
+    env = {k: v for k, v in os.environ.items() if k != "CAUSAL_KERNEL_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    if log_level is not None:
+        env["CAUSAL_KERNEL_LOG"] = log_level
+    return subprocess.run([sys.executable, "-m", "causal_kernel.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+
+
+class TestLogLevel:
+    """CAUSAL_KERNEL_LOG.  In a fresh process, because main's
+    logging.basicConfig does nothing once the root logger has handlers, as
+    it has under pytest."""
+
+    @pytest.mark.parametrize("argv", [["gns", "--max-len", "2"], ["verify", "--seed", "42"]],
+                             ids=["gns", "verify"])
+    def test_info_logs_the_load_to_stderr_only(self, argv):
+        argv = argv + ["--model", "models/sequential_qubit.json"]
+        quiet = _cli_process(argv, None)
+        info = _cli_process(argv, "INFO")
+        assert quiet.returncode == info.returncode == 0
+        assert info.stdout == quiet.stdout
+        assert "causal_kernel INFO:" not in quiet.stderr
+        assert info.stderr.splitlines() == [
+            "causal_kernel INFO: loading model models/sequential_qubit.json",
+            "causal_kernel INFO: loaded sequential model over factors (1, 2)",
+        ] + quiet.stderr.splitlines()

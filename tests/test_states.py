@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from causal_kernel.algebra import FreeAlgebra, FactorSpec
+from causal_kernel.algebra import FreeAlgebra, FactorSpec, UnknownFactorError
 from causal_kernel.sampling import (
     random_element,
     random_fuzz,
@@ -27,7 +27,6 @@ from causal_kernel.states import (
     SuperspacetimeBranch,
     SuperspacetimeModel,
     SwitchModel,
-    UnregisteredSlotError,
     slot_groups,
 )
 from causal_kernel.gns import build_gns, report_obj
@@ -57,7 +56,7 @@ class TestBatchedForward:
     @staticmethod
     def _words(rng, m):
         # the empty word, every short word, and long words through every slot
-        slots = m.slots
+        slots = m.algebra.factor_indices
         every = tuple((f, i % len(m.algebra.factor(f).basis))
                       for i, f in enumerate(slots + slots[:1]))
         words = list(m.algebra.words(1)) + [every, every[::-1]]
@@ -91,7 +90,7 @@ class TestBatchedForward:
         for m in all_models(rng):
             d = len(m.forward_vector(()))
             assert m.forward_vectors([]).shape == (d, 0)
-            assert m.letter_vectors([(m.slots[0], 0)], []).shape == (1, d, 0)
+            assert m.letter_vectors([(m.algebra.factor_indices[0], 0)], []).shape == (1, d, 0)
 
     def test_fill_caches_owned_batch_of_one_vectors(self, rng, monkeypatch):
         for m in all_models(rng):
@@ -117,7 +116,7 @@ class TestBatchedForward:
                  ((1, 0), (2, 2)), ((1, 1), (2, 2), (1, 0))]
         expected = [(I2, I2), (SX @ SY, SZ), (SX, SZ), (I2, SY), (SX, SZ),
                     (SY @ SX, SZ)]
-        stacks, inverse = slot_groups(qubit_pair_algebra, words, (1, 2))
+        stacks, inverse = slot_groups(qubit_pair_algebra, words)
         assert inverse.tolist() == [0, 1, 2, 3, 2, 4]
         assert [len(stack) for stack in stacks] == [5, 5]
         for j, groups in enumerate(expected):
@@ -132,7 +131,7 @@ class TestBatchedForward:
             pick = rng.choice(len(words), min(40, len(words)), replace=False)
             words = [words[int(i)] for i in pick]
             words += [w[::-1] for w in words if len(w) == 2] + words[:5]
-            letters = [(f, k) for f in m.slots
+            letters = [(f, k) for f in m.algebra.factor_indices
                        for k in range(len(m.algebra.factor(f).basis))]
             batch = m.forward_vectors(words)
             acted = m.letter_vectors(letters, words)
@@ -150,7 +149,8 @@ class TestBatchedForward:
         assert batch.shape == (4, 20629)
         for j, w in enumerate(words):
             assert np.array_equal(batch[:, j], m.forward_vectors([w])[:, 0])
-        letters = [(f, k) for f in m.slots for k in range(len(m.algebra.factor(f).basis))]
+        letters = [(f, k) for f in m.algebra.factor_indices
+                   for k in range(len(m.algebra.factor(f).basis))]
         acted = m.letter_vectors(letters, words)
         for j in range(0, len(words), 97):
             assert np.array_equal(acted[:, :, j],
@@ -158,10 +158,43 @@ class TestBatchedForward:
 
     def test_foreign_letter_raises(self, rng):
         m = random_sequential(rng)
-        with pytest.raises(UnregisteredSlotError):
+        with pytest.raises(UnknownFactorError):
             m.forward_vectors([(), ((3, 0),)])
-        with pytest.raises(UnregisteredSlotError):
+        with pytest.raises(UnknownFactorError):
             m.forward_vector(((1, 0), (3, 0)))
+
+
+BAD_LETTERS = [
+    pytest.param(lambda d: (1, d * d - 1), id="index-d2-1"),
+    pytest.param(lambda d: (1, -1), id="index-minus-1"),
+    pytest.param(lambda d: (1, d * d), id="index-d2"),
+    pytest.param(lambda d: (9, 0), id="factor-9"),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_LETTERS)
+@pytest.mark.parametrize("name", ["sequential_qubit", "switch_qubit"])
+def test_bad_letter_raises_at_every_entry_point(name, bad):
+    """Every reader of letters fails through the algebra's one letter check;
+    index d**2 - 1 is the identity's place in the basis table and -1 would
+    wrap to it, so neither may read as the identity."""
+    m = load_model(MODELS_DIR / f"{name}.json").state
+    letter = bad(m.algebra.factor(1).dim)
+    word = ((2, 0), letter)
+    calls = [
+        lambda: m.forward_vectors([(), word]),
+        lambda: m.forward_vector(word),
+        lambda: m.eval_words(word, ()),
+        lambda: m.eval_words((), word),
+        lambda: m.letter_vectors([letter], [(), ((2, 0),)]),
+        lambda: m.letter_vectors([(2, 0)], [(), word]),
+        lambda: state_kernel_bruteforce(m, word, ()),
+        lambda: state_kernel_bruteforce(m, (), word),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownFactorError):
+            call()
+    assert word not in m._forward_cache
 
 
 class TestColdEvaluation:
