@@ -26,7 +26,10 @@ _SEGMENTS = {
 }
 
 # the six segments as the two weight-1 fuzz branches: control 0 runs
-# yu0, y, xy0, x, vx0 and control 1 runs xu1, x, yx1, y, vy1
+# yu0, y, xy0, x, vx0 and control 1 runs xu1, x, yx1, y, vy1.  These and
+# _fixed_order_value do not read states.SWITCH_SEGMENTS on purpose: a switch
+# segment on the wrong branch fails a demo row only if the rows state the map
+# on their own, and rows read from the table would check it against itself.
 _BRANCHES = (
     FuzzBranch(1.0, "yx", pre=_SEGMENTS["yu0"], mid=_SEGMENTS["xy0"],
                post=_SEGMENTS["vx0"]),
@@ -53,11 +56,7 @@ def _row(key: str, label: str, name: str, value: complex, reference: complex) ->
 
 def _switch_with_control(control: np.ndarray) -> SwitchModel:
     psi = np.kron(control, _KET0)
-    return SwitchModel(
-        2, psi,
-        _SEGMENTS["vx0"], _SEGMENTS["xy0"], _SEGMENTS["yu0"],
-        _SEGMENTS["vy1"], _SEGMENTS["yx1"], _SEGMENTS["xu1"],
-    )
+    return SwitchModel(2, psi, _SEGMENTS)
 
 
 def _omega_xy(model: FuzzModel, x: np.ndarray, y: np.ndarray) -> complex:

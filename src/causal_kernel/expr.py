@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .algebra import FreeAlgebra, FreeElement
@@ -48,38 +48,73 @@ class UnboundSymbolError(ExprError):
 # AST
 
 class Node:
-    """Base of the AST node classes."""
+    """Base of the AST node classes.  ``==``, ``hash`` and ``repr`` walk the
+    tree with a stack: the generated ones recurse several interpreter levels
+    per node, too deep for a tree ``MAX_DEPTH`` levels deep."""
+
+    def _tokens(self, compared: bool) -> list:
+        """The dataclass repr as text pieces and 1-tuples of leaf values;
+        with ``compared`` only the fields that take part in ``==``."""
+        out, stack = [], [(self,)]
+        while stack:
+            item = stack.pop()
+            value = None if isinstance(item, str) else item[0]
+            if isinstance(value, Node):
+                parts = [(f"{f.name}=", getattr(value, f.name)) for f in fields(value)
+                         if (f.compare if compared else f.repr)]
+                head, tail = f"{type(value).__name__}(", ")"
+            elif isinstance(value, tuple) and any(isinstance(v, Node) for v in value):
+                parts = [("", v) for v in value]
+                head, tail = "(", ",)" if len(value) == 1 else ")"
+            else:
+                out.append(item)
+                continue
+            stack.append(tail)
+            for i, (label, v) in reversed(list(enumerate(parts))):
+                stack += [(v,), ", " * (i > 0) + label]
+            stack.append(head)
+        return out
+
+    def __eq__(self, other):
+        return isinstance(other, Node) and self._tokens(True) == other._tokens(True)
+
+    def __hash__(self):
+        return hash(tuple(self._tokens(True)))
+
+    def __repr__(self):
+        tokens = self._tokens(False)
+        return "".join(t if isinstance(t, str) else repr(t[0]) for t in tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Scalar(Node):
     value: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Name(Node):
     name: str
     span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class UnitSym(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Adj(Node):
     child: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(Node):
     """``terms[0] ops[0] terms[1] ops[1] ...``, each op ``'+'`` or ``'-'``."""
     terms: tuple[Node, ...]
     ops: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(Node):
     factors: tuple[Node, ...]
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .algebra import FreeElement
 from .states import (
+    SWITCH_SEGMENTS,
     FuzzBranch,
     FuzzModel,
     GeneralizedState,
@@ -154,25 +155,18 @@ def _load_sequential(obj: dict) -> GeneralizedState:
     return SequentialModel(dim, psi, us)
 
 
-_SWITCH_KEYS = ("vx0", "xy0", "yu0", "vy1", "yx1", "xu1")
-
-
 def _load_switch(obj: dict) -> GeneralizedState:
     dim = _int_from(_require(obj, "dim", "model"), "dim")
     psi = _vector_from(_require(obj, "psi", "model"), "psi")
     raw_us = _require(obj, "unitaries", "model")
+    names = tuple(name for _, chain in SWITCH_SEGMENTS for name in chain)
     if not isinstance(raw_us, dict):
-        raise ModelFormatError(
-            f"unitaries: expected an object with keys {_SWITCH_KEYS}"
-        )
-    mats = {}
-    for key in _SWITCH_KEYS:
-        mats[key] = _matrix_from(_require(raw_us, key, "unitaries"), f"unitaries.{key}")
-    return SwitchModel(
-        dim, psi,
-        mats["vx0"], mats["xy0"], mats["yu0"],
-        mats["vy1"], mats["yx1"], mats["xu1"],
-    )
+        raise ModelFormatError(f"unitaries: expected an object with keys {names}")
+    mats = {
+        key: _matrix_from(_require(raw_us, key, "unitaries"), f"unitaries.{key}")
+        for key in names
+    }
+    return SwitchModel(dim, psi, mats)
 
 
 def _load_fuzz(obj: dict) -> GeneralizedState:

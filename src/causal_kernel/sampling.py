@@ -97,7 +97,8 @@ def random_sequential(
 
 def random_switch(rng: np.random.Generator, dim: int = 2) -> SwitchModel:
     psi = np.kron(random_state_vector(rng, 2), random_state_vector(rng, dim))
-    return SwitchModel(dim, psi, *[random_unitary(rng, dim) for _ in range(6)])
+    names = ("vx0", "xy0", "yu0", "vy1", "yx1", "xu1")  # the order of the draws
+    return SwitchModel(dim, psi, {n: random_unitary(rng, dim) for n in names})
 
 
 def random_fuzz(

@@ -26,7 +26,7 @@ import functools
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -402,31 +402,35 @@ class FuzzModel(GeneralizedState):
         return complex(phi.conj() @ self._contract(*ops)[0])
 
 
+# The switch's one segment table: for control values 0 and 1, the order of
+# the two operators and the model-file names of the segments before, between
+# and after them.
+SWITCH_SEGMENTS = (
+    ("yx", ("yu0", "xy0", "vx0")),
+    ("xy", ("xu1", "yx1", "vy1")),
+)
+
+
 class SwitchModel(FuzzModel):
     """Two-branch control superposition of the two operator orders.
 
-    Control basis vector 0 routes the target through y then x with the
-    order-0 segments; control 1 routes through x then y with the order-1
-    segments.  Equivalent to a two-branch weight-1 FuzzModel.
+    ``segments`` maps each name of ``SWITCH_SEGMENTS`` to its unitary.
+    Control basis vector 0 routes the target through y then x, control 1
+    through x then y; each branch is a weight-1 ``FuzzBranch``.
     """
 
     family = "switch"
 
-    def __init__(
-        self,
-        dim: int,
-        psi: np.ndarray,
-        u_vx0: np.ndarray,
-        u_xy0: np.ndarray,
-        u_yu0: np.ndarray,
-        u_vy1: np.ndarray,
-        u_yx1: np.ndarray,
-        u_xu1: np.ndarray,
-    ):
-        branches = (
-            FuzzBranch(1.0, "yx", pre=u_yu0, mid=u_xy0, post=u_vx0),
-            FuzzBranch(1.0, "xy", pre=u_xu1, mid=u_yx1, post=u_vy1),
-        )
+    def __init__(self, dim: int, psi: np.ndarray, segments: Mapping[str, np.ndarray]):
+        names = [name for _, chain in SWITCH_SEGMENTS for name in chain]
+        for key in segments:
+            if key not in names:
+                raise ModelValidationError(f"segments: unknown segment {key!r}")
+        for key in names:
+            if key not in segments:
+                raise ModelValidationError(f"segments: missing segment {key!r}")
+        branches = [FuzzBranch(1.0, order, *(segments[n] for n in chain))
+                    for order, chain in SWITCH_SEGMENTS]
         super().__init__(dim, psi, branches)
 
 

@@ -10,6 +10,10 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
+# the switch's segment names in the README's order: a test draws its six
+# unitaries ``us`` in this order and passes ``dict(zip(SWITCH_NAMES, us))``
+SWITCH_NAMES = ("vx0", "xy0", "yu0", "vy1", "yx1", "xu1")
+
 
 @pytest.fixture
 def qubit_pair_algebra():

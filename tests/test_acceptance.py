@@ -45,7 +45,7 @@ from causal_kernel.sampling import (
 )
 from causal_kernel.states import FuzzBranch, FuzzModel, SequentialModel, SwitchModel
 
-from conftest import representation_backed_state
+from conftest import SWITCH_NAMES, representation_backed_state
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -182,7 +182,7 @@ def test_criterion_5_switch_semantics():
         psi_t = random_state_vector(rng, 2)
         x, y = random_matrix(rng, 2), random_matrix(rng, 2)
         for control, order in ((KET0, "yx"), (KET1, "xy")):
-            model = SwitchModel(2, np.kron(control, psi_t), *us)
+            model = SwitchModel(2, np.kron(control, psi_t), dict(zip(SWITCH_NAMES, us)))
             elem = model.algebra.embed(1, x) * model.algebra.embed(2, y)
             got = model.eval_bilinear(model.algebra.unit(), elem)
             if order == "yx":
@@ -197,12 +197,12 @@ def test_criterion_5_switch_semantics():
 
     worst_lin = 0.0
     for _ in range(20):
-        us = [random_unitary(rng, 2) for _ in range(6)]
+        segs = dict(zip(SWITCH_NAMES, (random_unitary(rng, 2) for _ in range(6))))
         psi_t = random_state_vector(rng, 2)
         c = random_state_vector(rng, 2)
-        m_sup = SwitchModel(2, np.kron(c, psi_t), *us)
-        m0 = SwitchModel(2, np.kron(KET0, psi_t), *us)
-        m1 = SwitchModel(2, np.kron(KET1, psi_t), *us)
+        m_sup = SwitchModel(2, np.kron(c, psi_t), segs)
+        m0 = SwitchModel(2, np.kron(KET0, psi_t), segs)
+        m1 = SwitchModel(2, np.kron(KET1, psi_t), segs)
         phi = random_state_vector(rng, 4)
         x, y = random_matrix(rng, 2), random_matrix(rng, 2)
         u = np.kron(np.diag(np.exp(1j * rng.normal(size=2))), random_unitary(rng, 2))
@@ -214,7 +214,7 @@ def test_criterion_5_switch_semantics():
 
     us = [random_unitary(rng, 2) for _ in range(6)]
     psi_t = random_state_vector(rng, 2)
-    switch = SwitchModel(2, np.kron(KET0, psi_t), *us)
+    switch = SwitchModel(2, np.kron(KET0, psi_t), dict(zip(SWITCH_NAMES, us)))
     single = FuzzModel(2, psi_t, [FuzzBranch(1.0, "yx", pre=us[2], mid=us[1], post=us[0])])
     worst_single = 0.0
     # words on factors 1 and 2 alone, which avoid the control slots

@@ -226,14 +226,16 @@ class TestFlatChainsAndNesting:
             expected = self.NESTINGS[opener](x, expected)
         assert eval_expr(ast, {"x": x}, qubit_pair_algebra).terms == expected.terms
 
-    # One node per level.  The generated __eq__ and __repr__ recurse several
-    # interpreter levels per node, so a tree with three nodes per level
-    # ("x+x*adj(") at MAX_DEPTH exceeds the default recursion limit there.
-    @pytest.mark.parametrize("opener", ["(", "adj(", "x+(", "x*("])
+    # up to three nodes per level: ==, hash and repr walk the tree without
+    # recursion, so they work at MAX_DEPTH whatever the recursion limit left
+    @pytest.mark.parametrize("opener", ["(", "adj(", "x+(", "x*(", "x*adj(", "x+x*adj("])
     def test_nesting_at_the_limit_round_trips(self, opener):
-        ast = parse(opener * MAX_DEPTH + "x" + ")" * MAX_DEPTH)
+        text = opener * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+        ast, again = parse(text), parse(text)
+        assert ast == again and hash(ast) == hash(again)
         assert parse(pretty(ast)) == ast
         assert repr(ast).count("Name(") == 1 + opener.count("x") * MAX_DEPTH
+        assert ast != parse(text.replace("x)", "y)", 1))
 
     @pytest.mark.parametrize("opener, col", [("(", MAX_DEPTH + 1),
                                              ("adj(", 4 * MAX_DEPTH + 1),

@@ -11,6 +11,7 @@ from causal_kernel.models import (
     load_model_obj,
     slot_prefixes,
 )
+from causal_kernel.oracle import chain_amplitude
 from causal_kernel.states import ModelValidationError, SequentialModel
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -126,6 +127,13 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="valid JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["vx0", "xy0", "yu0", "vy1", "yx1", "xu1"])
+    def test_switch_segment_missing(self, key):
+        obj = shipped_obj("switch_qubit", lambda o: o["unitaries"].pop(key))
+        with pytest.raises(ModelFormatError) as err:
+            load_model_obj(obj)
+        assert str(err.value) == f"unitaries: missing required key {key!r}"
+
 
 class TestValidationErrors:
     def test_non_unitary_matrix(self):
@@ -223,3 +231,57 @@ class TestMalformedNumbers:
         u = np.full((2, 2), np.nan) if where == "unitary" else np.eye(2)
         with pytest.raises(ModelValidationError):
             SequentialModel(2, psi, [u])
+
+
+class TestSwitchFile:
+    def test_kernel_is_the_readme_branch_chains(self):
+        """omega(e, a) on the switch file, against each control branch's chain
+        written out here from the raw JSON and the README schema: control 0
+        runs yu0, y, xy0, x, vx0 and control 1 runs xu1, x, yx1, y, vy1, with
+        u before and v after both on control (x) target.
+
+        The words run over all four slots: in omega(e, a) with no v letter in
+        a, the last segment of each branch cancels against itself (it is
+        unitary), so words on x and y alone cannot tell vx0 from vy1."""
+        raw = json.loads((MODELS_DIR / "switch_qubit.json").read_text())
+
+        def complex_array(pairs):
+            return np.asarray(pairs, dtype=float) @ np.array([1.0, 1.0j])
+
+        d = raw["dim"]
+        psi = complex_array(raw["psi"]).reshape(2, d)
+        seg = {k: complex_array(m) for k, m in raw["unitaries"].items()}
+
+        def chain(k, x, y):
+            """Control k's branch, latest segment first as chain_amplitude
+            reads it."""
+            if k == 0:
+                return [seg["vx0"], x, seg["xy0"], y, seg["yu0"]]
+            return [seg["vy1"], y, seg["yx1"], x, seg["xu1"]]
+
+        def block(m, i, j):
+            return m[i * d:(i + 1) * d, j * d:(j + 1) * d]
+
+        state = load_model(MODELS_DIR / "switch_qubit.json").state
+        alg = state.algebra
+        letters = [(f, k) for f in (1, 2, 3, 4) for k in range(len(alg.factor(f).basis))]
+        words = [(), *((b,) for b in letters),
+                 *((b, a) for b in letters for a in letters if b[0] != a[0])]
+        eye_t, eye_c = np.eye(d), np.eye(2 * d)
+        worst = 0.0
+        for word in words:
+            x, y, u, v = (next((alg.factor(f).basis[k] for g, k in word if g == f),
+                               eye_t if f < 3 else eye_c) for f in (1, 2, 3, 4))
+            # <r(e)| = sum_l <l| (x) <psi_l| chain_l(1, 1)^dagger, and
+            # |r(a)> = v (sum_k |k><k| (x) chain_k(x, y)) u |psi>
+            expected = sum(
+                chain_amplitude(
+                    [*(m.conj().T for m in reversed(chain(l, eye_t, eye_t))),
+                     block(v, l, k), *chain(k, x, y), block(u, k, j)],
+                    psi[j], psi[l],
+                )
+                for l in range(2) for k in range(2) for j in range(2)
+            )
+            worst = max(worst, abs(state.eval_words((), word) - expected))
+        assert len(words) == 865
+        assert worst <= 1e-12

@@ -21,7 +21,7 @@ from causal_kernel.sampling import (
     random_word,
 )
 
-from conftest import I2
+from conftest import I2, SWITCH_NAMES
 
 
 class TestHeisenbergCorrelator:
@@ -74,7 +74,7 @@ class TestChainAmplitude:
         ket0 = np.array([1.0, 0.0])
         from causal_kernel.states import SwitchModel
 
-        m = SwitchModel(2, np.kron(ket0, psi_t), *us)
+        m = SwitchModel(2, np.kron(ket0, psi_t), dict(zip(SWITCH_NAMES, us)))
         x, y = random_matrix(rng, 2), random_matrix(rng, 2)
         amp = m.amplitude(np.kron(ket0, phi_t), x, y, np.eye(4), np.eye(4))
         chain = chain_amplitude([us[0], x, us[1], y, us[2]], psi_t, phi_t)

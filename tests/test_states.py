@@ -34,7 +34,7 @@ from causal_kernel.models import load_model
 from causal_kernel.oracle import state_kernel_bruteforce
 from causal_kernel.verify import verify_state
 
-from conftest import I2, SX, SY, SZ
+from conftest import I2, SWITCH_NAMES, SX, SY, SZ
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -285,13 +285,13 @@ class TestSequential:
 class TestSwitchAmplitude:
     def test_identity_chain_is_one(self, rng):
         psi = np.kron(random_state_vector(rng, 2), random_state_vector(rng, 2))
-        m = SwitchModel(2, psi, *[np.eye(2)] * 6)
+        m = SwitchModel(2, psi, dict.fromkeys(SWITCH_NAMES, np.eye(2)))
         amp = m.amplitude(psi, I2, I2, np.eye(4), np.eye(4))
         assert abs(amp - 1.0) < 1e-12
 
     def test_scalar_target_chain(self):
         # one-dimensional target: the |0> branch multiplies plain numbers
-        m = SwitchModel(1, np.array([1.0, 0.0]), *[np.eye(1)] * 6)
+        m = SwitchModel(1, np.array([1.0, 0.0]), dict.fromkeys(SWITCH_NAMES, np.eye(1)))
         amp = m.amplitude(
             np.array([1.0, 0.0]),
             np.array([[2.0]]), np.array([[3.0]]), np.eye(2), np.eye(2),
@@ -303,7 +303,7 @@ class TestSwitchAmplitude:
         # is the single fixed-order chain
         us = [random_unitary(rng, 2) for _ in range(6)]
         psi_t = random_state_vector(rng, 2)
-        m = SwitchModel(2, np.kron(KET0, psi_t), *us)
+        m = SwitchModel(2, np.kron(KET0, psi_t), dict(zip(SWITCH_NAMES, us)))
         x, y = random_matrix(rng, 2), random_matrix(rng, 2)
         u_t, v_t = random_unitary(rng, 2), random_unitary(rng, 2)
         u_full = np.kron(I2, u_t)
@@ -315,12 +315,12 @@ class TestSwitchAmplitude:
         assert abs(amp - phi_t.conj() @ chain) < 1e-10
 
     def test_branch_linearity_in_control(self, rng):
-        us = [random_unitary(rng, 2) for _ in range(6)]
+        segs = dict(zip(SWITCH_NAMES, (random_unitary(rng, 2) for _ in range(6))))
         psi_t = random_state_vector(rng, 2)
         c0, c1 = random_state_vector(rng, 2)
-        m_sup = SwitchModel(2, np.kron(np.array([c0, c1]), psi_t), *us)
-        m0 = SwitchModel(2, np.kron(KET0, psi_t), *us)
-        m1 = SwitchModel(2, np.kron(KET1, psi_t), *us)
+        m_sup = SwitchModel(2, np.kron(np.array([c0, c1]), psi_t), segs)
+        m0 = SwitchModel(2, np.kron(KET0, psi_t), segs)
+        m1 = SwitchModel(2, np.kron(KET1, psi_t), segs)
         phi = random_state_vector(rng, 4)
         x, y = random_matrix(rng, 2), random_matrix(rng, 2)
         u = np.kron(np.diag(np.exp(1j * rng.normal(size=2))), random_unitary(rng, 2))
@@ -328,6 +328,36 @@ class TestSwitchAmplitude:
         lhs = m_sup.amplitude(phi, x, y, u, v)
         rhs = c0 * m0.amplitude(phi, x, y, u, v) + c1 * m1.amplitude(phi, x, y, u, v)
         assert abs(lhs - rhs) < 1e-10
+
+
+class TestSwitchSegments:
+    @staticmethod
+    def segments(rng):
+        return dict(zip(SWITCH_NAMES, (random_unitary(rng, 2) for _ in range(6))))
+
+    def test_missing_segment_is_named(self, rng):
+        segs = self.segments(rng)
+        del segs["xy0"]
+        with pytest.raises(ModelValidationError, match="^segments: missing segment 'xy0'$"):
+            SwitchModel(2, np.kron(KET0, KET0), segs)
+
+    def test_unknown_segment_is_named(self, rng):
+        segs = {**self.segments(rng), "vx1": np.eye(2)}
+        with pytest.raises(ModelValidationError, match="^segments: unknown segment 'vx1'$"):
+            SwitchModel(2, np.kron(KET0, KET0), segs)
+
+    def test_branches_are_the_named_chains(self, rng):
+        segs = self.segments(rng)
+        m = SwitchModel(2, np.kron(KET0, KET0), segs)
+        expected = (
+            FuzzBranch(1.0, "yx", pre=segs["yu0"], mid=segs["xy0"], post=segs["vx0"]),
+            FuzzBranch(1.0, "xy", pre=segs["xu1"], mid=segs["yx1"], post=segs["vy1"]),
+        )
+        assert len(m.branches) == len(expected)
+        for got, want in zip(m.branches, expected):
+            assert (got.weight, got.order) == (want.weight, want.order)
+            for part in ("pre", "mid", "post"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 class TestSwitchState:
@@ -347,7 +377,7 @@ class TestSwitchState:
         # a = embedding of a unitary into the third slot; omega(a*, a) = 1
         m = SwitchModel(2, np.kron(random_state_vector(rng, 2),
                                    random_state_vector(rng, 2)),
-                        *[np.eye(2)] * 6)
+                        dict.fromkeys(SWITCH_NAMES, np.eye(2)))
         u = random_unitary(rng, 4)
         a = m.algebra.embed(3, u)
         assert abs(m.eval_bilinear(a.star(), a) - 1.0) < 1e-10
@@ -358,7 +388,7 @@ class TestSwitchState:
         us = [random_unitary(rng, 2) for _ in range(6)]
         psi_t = random_state_vector(rng, 2)
         for control, order in ((KET0, "yx"), (KET1, "xy")):
-            m = SwitchModel(2, np.kron(control, psi_t), *us)
+            m = SwitchModel(2, np.kron(control, psi_t), dict(zip(SWITCH_NAMES, us)))
             x_el = m.algebra.embed(1, SX)
             y_el = m.algebra.embed(2, SZ)
             got = m.eval_bilinear(m.algebra.unit(), x_el * y_el)
@@ -378,7 +408,7 @@ class TestSwitchState:
 
         us = [random_unitary(rng, 2) for _ in range(6)]
         psi_t = random_state_vector(rng, 2)
-        m = SwitchModel(2, np.kron(KET0, psi_t), *us)
+        m = SwitchModel(2, np.kron(KET0, psi_t), dict(zip(SWITCH_NAMES, us)))
         x, y = random_matrix(rng, 2), random_matrix(rng, 2)
         u_t, v_t = random_matrix(rng, 2), random_matrix(rng, 2)
         a = (
@@ -401,7 +431,7 @@ class TestFuzz:
         # avoid the control slots (drawn on factors 1 and 2 alone)
         us = [random_unitary(rng, 2) for _ in range(6)]
         psi_t = random_state_vector(rng, 2)
-        switch = SwitchModel(2, np.kron(KET0, psi_t), *us)
+        switch = SwitchModel(2, np.kron(KET0, psi_t), dict(zip(SWITCH_NAMES, us)))
         single = FuzzModel(2, psi_t, [
             FuzzBranch(1.0, "yx", pre=us[2], mid=us[1], post=us[0]),
         ])
@@ -416,7 +446,8 @@ class TestFuzz:
         # reproduce the control-superposition model on every word pair
         vx0, xy0, yu0, vy1, yx1, xu1 = (random_unitary(rng, 2) for _ in range(6))
         psi = np.kron(random_state_vector(rng, 2), random_state_vector(rng, 2))
-        switch = SwitchModel(2, psi, vx0, xy0, yu0, vy1, yx1, xu1)
+        switch = SwitchModel(2, psi, dict(vx0=vx0, xy0=xy0, yu0=yu0,
+                                          vy1=vy1, yx1=yx1, xu1=xu1))
         fuzz = FuzzModel(2, psi, [
             FuzzBranch(1.0, "yx", pre=yu0, mid=xy0, post=vx0),
             FuzzBranch(1.0, "xy", pre=xu1, mid=yx1, post=vy1),
@@ -638,16 +669,16 @@ class TestBilinearity:
         # single-threaded evaluation
         from concurrent.futures import ThreadPoolExecutor
 
-        us = [random_unitary(rng, 2) for _ in range(6)]
+        segs = dict(zip(SWITCH_NAMES, (random_unitary(rng, 2) for _ in range(6))))
         psi = np.kron(random_state_vector(rng, 2), random_state_vector(rng, 2))
         pairs = [
-            (random_word(rng, SwitchModel(2, psi, *us).algebra, max_len=3),
-             random_word(rng, SwitchModel(2, psi, *us).algebra, max_len=3))
+            (random_word(rng, SwitchModel(2, psi, segs).algebra, max_len=3),
+             random_word(rng, SwitchModel(2, psi, segs).algebra, max_len=3))
             for _ in range(40)
         ]
-        shared = SwitchModel(2, psi, *us)
+        shared = SwitchModel(2, psi, segs)
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(lambda ba: shared.eval_words(*ba), pairs))
-        fresh = SwitchModel(2, psi, *us)
+        fresh = SwitchModel(2, psi, segs)
         serial = [fresh.eval_words(b, a) for b, a in pairs]
         assert threaded == serial
