@@ -3,6 +3,8 @@
 Complex numbers are ``[re, im]`` pairs, vectors are lists of pairs, matrices
 nested lists of pairs.  Every file carries ``"version": 1`` and a ``family``
 tag; the remaining keys are family-specific (see README for the schema).
+The loader checks JSON types and converts values; the family constructor
+checks the data, and each of its refusals names the model-file key.
 
 Each loaded model exposes a symbol table for the expression DSL: automatic
 names for every basis letter (``x1..``, ``y1..`` and so on per slot), plus
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FreeElement
+from .expr import ExprError, Name, parse
 from .states import (
-    SWITCH_SEGMENTS,
     FuzzBranch,
     FuzzModel,
     GeneralizedState,
@@ -85,6 +87,12 @@ def _matrix_from(value, where: str) -> np.ndarray:
     return np.stack(rows)
 
 
+def _list_from(value, where: str, items: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ModelFormatError(f"{where}: expected a list of {items}")
+    return value
+
+
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ModelFormatError(f"{where}: missing required key {key!r}")
@@ -123,6 +131,15 @@ def _auto_symbols(state: GeneralizedState) -> dict[str, FreeElement]:
     return out
 
 
+def _is_name(text: str) -> bool:
+    """Whether an expression reaches a symbol called ``text``: the text
+    alone parses as that name, not as ``i``, ``I``, a call or a product."""
+    try:
+        return parse(text) == Name(text)
+    except ExprError:
+        return False
+
+
 def _user_symbols(state: GeneralizedState, spec) -> dict[str, FreeElement]:
     if spec is None:
         return {}
@@ -131,6 +148,12 @@ def _user_symbols(state: GeneralizedState, spec) -> dict[str, FreeElement]:
     out = {}
     slots = state.algebra.factor_indices
     for name, entry in spec.items():
+        if not _is_name(name):
+            raise ModelFormatError(
+                f"symbols.{name}: an expression cannot name this symbol; expected "
+                "an identifier (a letter or _, then letters, digits or _) other "
+                "than i, I and adj"
+            )
         if not isinstance(entry, dict):
             raise ModelFormatError(f"symbols.{name}: expected an object")
         factor = _int_from(_require(entry, "factor", f"symbols.{name}"),
@@ -145,12 +168,19 @@ def _user_symbols(state: GeneralizedState, spec) -> dict[str, FreeElement]:
     return out
 
 
+def _entries(obj: dict, key: str):
+    """``(where, entry)`` for each object of the list ``obj[key]``."""
+    raw = _list_from(_require(obj, key, "model"), key, "objects")
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ModelFormatError(f"{key}[{i}]: expected an object")
+        yield f"{key}[{i}]", entry
+
+
 def _load_sequential(obj: dict) -> GeneralizedState:
     dim = _int_from(_require(obj, "dim", "model"), "dim")
     psi = _vector_from(_require(obj, "psi", "model"), "psi")
-    raw_us = _require(obj, "unitaries", "model")
-    if not isinstance(raw_us, (list, tuple)) or not raw_us:
-        raise ModelFormatError("unitaries: expected a non-empty list of matrices")
+    raw_us = _list_from(_require(obj, "unitaries", "model"), "unitaries", "matrices")
     us = [_matrix_from(u, f"unitaries[{i}]") for i, u in enumerate(raw_us)]
     return SequentialModel(dim, psi, us)
 
@@ -159,27 +189,17 @@ def _load_switch(obj: dict) -> GeneralizedState:
     dim = _int_from(_require(obj, "dim", "model"), "dim")
     psi = _vector_from(_require(obj, "psi", "model"), "psi")
     raw_us = _require(obj, "unitaries", "model")
-    names = tuple(name for _, chain in SWITCH_SEGMENTS for name in chain)
     if not isinstance(raw_us, dict):
-        raise ModelFormatError(f"unitaries: expected an object with keys {names}")
-    mats = {
-        key: _matrix_from(_require(raw_us, key, "unitaries"), f"unitaries.{key}")
-        for key in names
-    }
+        raise ModelFormatError("unitaries: expected an object of segment name -> matrix")
+    mats = {key: _matrix_from(u, f"unitaries.{key}") for key, u in raw_us.items()}
     return SwitchModel(dim, psi, mats)
 
 
 def _load_fuzz(obj: dict) -> GeneralizedState:
     dim = _int_from(_require(obj, "dim", "model"), "dim")
     psi = _vector_from(_require(obj, "psi", "model"), "psi")
-    raw = _require(obj, "branches", "model")
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ModelFormatError("branches: expected a non-empty list")
     branches = []
-    for i, entry in enumerate(raw):
-        where = f"branches[{i}]"
-        if not isinstance(entry, dict):
-            raise ModelFormatError(f"{where}: expected an object")
+    for where, entry in _entries(obj, "branches"):
         weight = _real_from(_require(entry, "weight", where), f"{where}.weight")
         order = _require(entry, "order", where)
         us = _require(entry, "unitaries", where)
@@ -187,47 +207,28 @@ def _load_fuzz(obj: dict) -> GeneralizedState:
             raise ModelFormatError(
                 f"{where}.unitaries: expected [pre, mid, post] in temporal order"
             )
-        branches.append(
-            FuzzBranch(
-                weight, str(order),
-                pre=_matrix_from(us[0], f"{where}.unitaries[0]"),
-                mid=_matrix_from(us[1], f"{where}.unitaries[1]"),
-                post=_matrix_from(us[2], f"{where}.unitaries[2]"),
-            )
-        )
+        segs = (_matrix_from(u, f"{where}.unitaries[{j}]") for j, u in enumerate(us))
+        branches.append(FuzzBranch(weight, order, *segs))
     return FuzzModel(dim, psi, branches)
 
 
 def _load_superspacetime(obj: dict) -> GeneralizedState:
     dim = _int_from(_require(obj, "dim", "model"), "dim")
-    reference = _require(obj, "reference", "model")
-    if not isinstance(reference, (list, tuple)):
-        raise ModelFormatError("reference: expected a list of insertion-point labels")
+    reference = _list_from(_require(obj, "reference", "model"), "reference",
+                           "insertion-point labels")
     target_psi = _vector_from(_require(obj, "targetPsi", "model"), "targetPsi")
-    raw = _require(obj, "branches", "model")
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ModelFormatError("branches: expected a non-empty list")
     branches = []
-    for i, entry in enumerate(raw):
-        where = f"branches[{i}]"
-        if not isinstance(entry, dict):
-            raise ModelFormatError(f"{where}: expected an object")
-        amplitude = _complex_from(_require(entry, "amplitude", where), f"{where}.amplitude")
+    for where, entry in _entries(obj, "branches"):
+        amplitude = _complex_from(_require(entry, "amplitude", where),
+                                  f"{where}.amplitude")
         permutation = _require(entry, "permutation", where)
-        if (
-            not isinstance(permutation, (list, tuple))
-            or len(permutation) != 2
-            or not all(
-                isinstance(p, int) and not isinstance(p, bool) for p in permutation
-            )
-        ):
-            raise ModelFormatError(f"{where}.permutation: expected two integers")
-        hams = _require(entry, "hamiltonians", where)
-        times = _require(entry, "times", where)
-        if not isinstance(hams, (list, tuple)) or len(hams) != 3:
-            raise ModelFormatError(f"{where}.hamiltonians: expected three matrices")
-        if not isinstance(times, (list, tuple)) or len(times) != 3:
-            raise ModelFormatError(f"{where}.times: expected three durations")
+        # a bool is an int to isinstance, so the type is compared exactly
+        if not (isinstance(permutation, (list, tuple))
+                and all(type(p) is int for p in permutation)):
+            raise ModelFormatError(f"{where}.permutation: expected a list of integers")
+        hams = _list_from(_require(entry, "hamiltonians", where),
+                          f"{where}.hamiltonians", "matrices")
+        times = _list_from(_require(entry, "times", where), f"{where}.times", "durations")
         branches.append(
             SuperspacetimeBranch(
                 amplitude=amplitude,
@@ -256,7 +257,8 @@ def load_model_obj(obj: dict) -> LoadedModel:
     if not isinstance(obj, dict):
         raise ModelFormatError("model: expected a JSON object")
     version = _require(obj, "version", "model")
-    if version != SCHEMA_VERSION:
+    # the JSON integer: true and 1.0 compare equal to 1
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ModelFormatError(
             f"version: expected {SCHEMA_VERSION}, got {version!r}"
         )

@@ -63,12 +63,17 @@ def _validating(init):
     return run
 
 
-def _check_unitary(name: str, u: np.ndarray, dim: int) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
+def _check_square(name: str, m: np.ndarray, dim: int) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (dim, dim):
         raise ModelValidationError(
-            f"{name}: expected a {dim}x{dim} matrix, got shape {u.shape}"
+            f"{name}: expected a {dim}x{dim} matrix, got shape {m.shape}"
         )
+    return m
+
+
+def _check_unitary(name: str, u: np.ndarray, dim: int) -> np.ndarray:
+    u = _check_square(name, u, dim)
     err = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
     if not err <= UNITARY_TOL:
         raise ModelValidationError(f"{name}: not unitary (deviation {err:.3e})")
@@ -273,7 +278,7 @@ class SequentialModel(GeneralizedState):
         dim = int(dim)
         unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
         if not unitaries:
-            raise ModelValidationError("at least one connecting unitary is required")
+            raise ModelValidationError("unitaries: expected at least one unitary")
         n = len(unitaries) + 1
         self.dim = dim
         self.psi = _check_state_vector("psi", psi, dim)
@@ -330,6 +335,12 @@ class FuzzModel(GeneralizedState):
 
     family = "fuzz"
 
+    @staticmethod
+    def _segment_key(i: int, j: int) -> str:
+        """The model-file key of branch ``i``'s segment ``j`` (pre, mid, post),
+        which starts each refusal of it; a subclass names its own segments."""
+        return f"branches[{i}].unitaries[{j}]"
+
     @_validating
     def __init__(
         self,
@@ -340,26 +351,20 @@ class FuzzModel(GeneralizedState):
         dim = int(dim)
         branches = tuple(branches)
         if not branches:
-            raise ModelValidationError("at least one branch is required")
+            raise ModelValidationError("branches: at least one branch is required")
         checked = []
         for i, br in enumerate(branches):
             if br.order not in ("yx", "xy"):
                 raise ModelValidationError(
-                    f"branch {i}: order must be 'yx' or 'xy', got {br.order!r}"
+                    f"branches[{i}].order: must be 'yx' or 'xy', got {br.order!r}"
                 )
             if not br.weight > 0:
                 raise ModelValidationError(
-                    f"branch {i}: weight must be positive, got {br.weight}"
+                    f"branches[{i}].weight: must be positive, got {br.weight}"
                 )
-            checked.append(
-                FuzzBranch(
-                    float(br.weight),
-                    br.order,
-                    _check_unitary(f"branch {i} pre", br.pre, dim),
-                    _check_unitary(f"branch {i} mid", br.mid, dim),
-                    _check_unitary(f"branch {i} post", br.post, dim),
-                )
-            )
+            segs = (_check_unitary(self._segment_key(i, j), u, dim)
+                    for j, u in enumerate((br.pre, br.mid, br.post)))
+            checked.append(FuzzBranch(float(br.weight), br.order, *segs))
         self.dim = dim
         self.branches = tuple(checked)
         total = len(checked) * dim
@@ -372,7 +377,7 @@ class FuzzModel(GeneralizedState):
         norm_err = self.unit_check()
         if not norm_err <= UNIT_OMEGA_TOL:
             raise ModelValidationError(
-                "weights and state do not preserve normalization: "
+                "branches: weights and psi do not preserve normalization: "
                 f"|omega(e,e) - 1| = {norm_err:.3e}"
             )
 
@@ -421,14 +426,18 @@ class SwitchModel(FuzzModel):
 
     family = "switch"
 
+    @staticmethod
+    def _segment_key(i: int, j: int) -> str:
+        return f"unitaries.{SWITCH_SEGMENTS[i][1][j]}"
+
     def __init__(self, dim: int, psi: np.ndarray, segments: Mapping[str, np.ndarray]):
         names = [name for _, chain in SWITCH_SEGMENTS for name in chain]
         for key in segments:
             if key not in names:
-                raise ModelValidationError(f"segments: unknown segment {key!r}")
+                raise ModelValidationError(f"unitaries: unknown key {key!r}")
         for key in names:
             if key not in segments:
-                raise ModelValidationError(f"segments: missing segment {key!r}")
+                raise ModelValidationError(f"unitaries: missing required key {key!r}")
         branches = [FuzzBranch(1.0, order, *(segments[n] for n in chain))
                     for order, chain in SWITCH_SEGMENTS]
         super().__init__(dim, psi, branches)
@@ -475,6 +484,10 @@ class SuperspacetimeModel(FuzzModel):
 
     family = "superspacetime"
 
+    @staticmethod
+    def _segment_key(i: int, j: int) -> str:
+        return f"branches[{i}].hamiltonians[{j}]"
+
     @_validating
     def __init__(
         self,
@@ -486,39 +499,39 @@ class SuperspacetimeModel(FuzzModel):
         dim = int(dim)
         if len(tuple(reference)) != 2:
             raise ModelValidationError(
-                "the reference set must name exactly two insertion points"
+                "reference: must name exactly two insertion points"
             )
-        target_psi = _check_state_vector("target_psi", target_psi, dim)
+        target_psi = _check_state_vector("targetPsi", target_psi, dim)
         branches = tuple(branches)
         if not branches:
-            raise ModelValidationError("at least one branch is required")
+            raise ModelValidationError("branches: at least one branch is required")
         fuzz_branches = []
         for i, br in enumerate(branches):
             if tuple(sorted(br.permutation)) != (0, 1):
                 raise ModelValidationError(
-                    f"branch {i}: identification map {br.permutation} is not a "
-                    "bijection onto the temporal slots"
+                    f"branches[{i}].permutation: identification map {br.permutation} "
+                    "is not a bijection onto the temporal slots"
                 )
-            if len(br.hamiltonians) != 3 or len(br.durations) != 3:
-                raise ModelValidationError(
-                    f"branch {i}: exactly three evolution segments are required"
-                )
+            for name, values, what in (("hamiltonians", br.hamiltonians, "matrices"),
+                                       ("times", br.durations, "durations")):
+                if len(values) != 3:
+                    raise ModelValidationError(
+                        f"branches[{i}].{name}: expected three {what}"
+                    )
             segs = []
             for j, (h, t) in enumerate(zip(br.hamiltonians, br.durations)):
-                h = np.asarray(h, dtype=complex)
-                if h.shape != (dim, dim):
-                    raise ModelValidationError(
-                        f"branch {i} segment {j}: hamiltonian has shape {h.shape}"
-                    )
+                key = self._segment_key(i, j)
+                h = _check_square(key, h, dim)
                 if not np.max(np.abs(h - h.conj().T)) <= HERMITIAN_TOL:
-                    raise ModelValidationError(
-                        f"branch {i} segment {j}: hamiltonian is not hermitian"
-                    )
+                    raise ModelValidationError(f"{key}: not hermitian")
                 segs.append(_evolution(h, float(t)))
             order = "yx" if br.permutation[0] == 1 else "xy"
             fuzz_branches.append(FuzzBranch(1.0, order, *segs))
         amps = np.array([complex(br.amplitude) for br in branches])
         norm = np.linalg.norm(amps)
-        if not norm > 1e-12:
-            raise ModelValidationError("branch amplitude vector is not normalizable")
+        # an overflowing norm would scale every amplitude to 0
+        if not 1e-12 < norm < np.inf:
+            raise ModelValidationError(
+                f"branches: amplitude vector is not normalizable (norm {norm:.3e})"
+            )
         super().__init__(dim, np.kron(amps / norm, target_psi), fuzz_branches)

@@ -7,6 +7,7 @@ import operator
 import os
 import pathlib
 import pkgutil
+import shlex
 import subprocess
 import sys
 import time
@@ -547,11 +548,12 @@ class TestExitCodes:
         assert run(capsys, "demo-switch")[0] == code
 
 
-def _cli_process(argv, log_level):
+def _cli_process(argv, **env_vars):
+    """``python -m causal_kernel.cli argv`` from the repo root, with
+    ``env_vars`` set in the child's environment only."""
     env = {k: v for k, v in os.environ.items() if k != "CAUSAL_KERNEL_LOG"}
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
-    if log_level is not None:
-        env["CAUSAL_KERNEL_LOG"] = log_level
+    env.update(env_vars)
     return subprocess.run([sys.executable, "-m", "causal_kernel.cli", *argv],
                           capture_output=True, text=True, env=env, cwd=ROOT)
 
@@ -565,8 +567,8 @@ class TestLogLevel:
                              ids=["gns", "verify"])
     def test_info_logs_the_load_to_stderr_only(self, argv):
         argv = argv + ["--model", "models/sequential_qubit.json"]
-        quiet = _cli_process(argv, None)
-        info = _cli_process(argv, "INFO")
+        quiet = _cli_process(argv)
+        info = _cli_process(argv, CAUSAL_KERNEL_LOG="INFO")
         assert quiet.returncode == info.returncode == 0
         assert info.stdout == quiet.stdout
         assert "causal_kernel INFO:" not in quiet.stderr
@@ -574,3 +576,27 @@ class TestLogLevel:
             "causal_kernel INFO: loading model models/sequential_qubit.json",
             "causal_kernel INFO: loaded sequential model over factors (1, 2)",
         ] + quiet.stderr.splitlines()
+
+
+def _readme_commands():
+    """The ``causal-kernel`` lines of README's ``## Command line`` block,
+    without the program name."""
+    section = (ROOT / "README.md").read_text().split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("causal-kernel ")]
+
+
+class TestReadmeCommands:
+    """README's commands as written, in fresh processes: each exits 0, and
+    its stdout does not depend on the BLAS thread count."""
+
+    def test_the_block_has_six_commands(self):
+        assert [argv[0] for argv in _readme_commands()] == [
+            "eval", "gram", "gns", "verify", "demo-switch", "demo-fuzz"]
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=operator.itemgetter(0))
+    def test_stdout_is_the_same_on_one_and_two_blas_threads(self, argv):
+        runs = [_cli_process(argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")]
+        assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+        assert runs[0].stdout != "" and runs[0].stdout == runs[1].stdout

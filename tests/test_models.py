@@ -1,10 +1,12 @@
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from causal_kernel.algebra import DimensionMismatchError
+from causal_kernel.cli import main
 from causal_kernel.models import (
     ModelFormatError,
     load_model,
@@ -12,7 +14,8 @@ from causal_kernel.models import (
     slot_prefixes,
 )
 from causal_kernel.oracle import chain_amplitude
-from causal_kernel.states import ModelValidationError, SequentialModel
+from causal_kernel.states import ModelValidationError, SequentialModel, SwitchModel
+from conftest import SWITCH_NAMES
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -82,6 +85,27 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="version"):
             load_model_obj(sequential_obj(version=2))
 
+    # true and 1.0 compare equal to 1, but only the JSON integer 1 is the version
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_is_the_integer_one(self, version):
+        with pytest.raises(ModelFormatError) as err:
+            load_model_obj(shipped_obj("sequential_qubit", _set(("version",), version)))
+        assert str(err.value) == f"version: expected 1, got {version!r}"
+
+    # a name the expression grammar reads as something else, or cannot read
+    @pytest.mark.parametrize("name", ["I", "i", "adj", "x y", "1x", "(x)", "x*y", ""])
+    def test_unreachable_symbol_name(self, name):
+        edit = _set(("symbols", name), {"factor": 1, "matrix": mat(np.eye(2))})
+        with pytest.raises(ModelFormatError,
+                           match=f"^symbols\\.{re.escape(name)}: an expression cannot"):
+            load_model_obj(shipped_obj("sequential_qubit", edit))
+
+    def test_reachable_symbol_names(self):
+        edit = _set(("symbols",), {n: {"factor": 1, "matrix": mat(np.eye(2))}
+                                   for n in ("_a1", "x1", "adjoint", "I2", "ii")})
+        model = load_model_obj(shipped_obj("sequential_qubit", edit))
+        assert {"_a1", "x1", "adjoint", "I2", "ii"} <= set(model.symbols)
+
     def test_unknown_family(self):
         with pytest.raises(ModelFormatError, match="family"):
             load_model_obj(sequential_obj(family="nope"))
@@ -130,7 +154,8 @@ class TestFormatErrors:
     @pytest.mark.parametrize("key", ["vx0", "xy0", "yu0", "vy1", "yx1", "xu1"])
     def test_switch_segment_missing(self, key):
         obj = shipped_obj("switch_qubit", lambda o: o["unitaries"].pop(key))
-        with pytest.raises(ModelFormatError) as err:
+        # SwitchModel owns the segment-name rule, for files and library callers
+        with pytest.raises(ModelValidationError) as err:
             load_model_obj(obj)
         assert str(err.value) == f"unitaries: missing required key {key!r}"
 
@@ -285,3 +310,111 @@ class TestSwitchFile:
             worst = max(worst, abs(state.eval_words((), word) - expected))
         assert len(words) == 865
         assert worst <= 1e-12
+
+
+NON_UNITARY = mat([[2, 0], [0, 1]])
+ONE_BY_ONE = mat([[1]])
+
+
+def _drop(path):
+    def edit(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        del obj[last]
+
+    return edit
+
+
+def _zero_amplitudes(obj):
+    for branch in obj["branches"]:
+        branch["amplitude"] = c(0)
+
+
+# one edit to a committed model file each, and the start of its refusal
+DATA_REFUSALS = [
+    ("sequential_qubit", _set(("unitaries",), []),
+     "unitaries: expected at least one unitary"),
+    ("sequential_qubit", _set(("unitaries", 0), ONE_BY_ONE),
+     "unitaries[0]: expected a 2x2 matrix"),
+    ("sequential_qubit", _set(("psi",), vec([1, 1])), "psi: not normalized"),
+    ("switch_qubit", _set(("unitaries", "yx1"), NON_UNITARY),
+     "unitaries.yx1: not unitary"),
+    ("switch_qubit", _set(("unitaries", "vx0"), ONE_BY_ONE),
+     "unitaries.vx0: expected a 2x2 matrix"),
+    ("switch_qubit", _drop(("unitaries", "xy0")),
+     "unitaries: missing required key 'xy0'"),
+    ("switch_qubit", _set(("unitaries", "zz9"), mat(np.eye(2))),
+     "unitaries: unknown key 'zz9'"),
+    ("fuzz_two_branch", _set(("branches",), []),
+     "branches: at least one branch is required"),
+    ("fuzz_two_branch", _set(("branches", 1, "unitaries", 2), NON_UNITARY),
+     "branches[1].unitaries[2]: not unitary"),
+    ("fuzz_two_branch", _set(("branches", 0, "weight"), -1.0),
+     "branches[0].weight: must be positive"),
+    ("fuzz_two_branch", _set(("branches", 1, "order"), "yy"),
+     "branches[1].order: must be 'yx' or 'xy'"),
+    ("fuzz_two_branch", _set(("branches", 0, "weight"), 2.0),
+     "branches: weights and psi do not preserve normalization"),
+    ("superspacetime_two_branch", _set(("branches",), []),
+     "branches: at least one branch is required"),
+    ("superspacetime_two_branch", _set(("branches", 0, "hamiltonians", 1, 0, 1), c(1)),
+     "branches[0].hamiltonians[1]: not hermitian"),
+    ("superspacetime_two_branch", _set(("branches", 1, "hamiltonians", 2), ONE_BY_ONE),
+     "branches[1].hamiltonians[2]: expected a 2x2 matrix"),
+    ("superspacetime_two_branch", _drop(("branches", 0, "hamiltonians", 2)),
+     "branches[0].hamiltonians: expected three matrices"),
+    ("superspacetime_two_branch", _drop(("branches", 1, "times", 0)),
+     "branches[1].times: expected three durations"),
+    ("superspacetime_two_branch", _set(("branches", 0, "permutation"), [0, 0]),
+     "branches[0].permutation: identification map"),
+    ("superspacetime_two_branch", _set(("targetPsi",), vec([1, 1])),
+     "targetPsi: not normalized"),
+    ("superspacetime_two_branch", _set(("reference",), ["p0"]),
+     "reference: must name exactly two insertion points"),
+    ("superspacetime_two_branch", _zero_amplitudes,
+     "branches: amplitude vector is not normalizable"),
+    # the norm overflows to inf, which would scale every amplitude to 0
+    ("superspacetime_two_branch", _set(("branches", 0, "amplitude"), [1e308, 0.0]),
+     "branches: amplitude vector is not normalizable"),
+]
+DATA_REFUSAL_IDS = [
+    "sequential-no-unitary", "sequential-unitary-shape", "sequential-psi",
+    "switch-not-unitary", "switch-shape", "switch-missing-key", "switch-unknown-key",
+    "fuzz-no-branch", "fuzz-not-unitary", "fuzz-weight", "fuzz-order",
+    "fuzz-normalization", "superspacetime-no-branch", "superspacetime-not-hermitian",
+    "superspacetime-shape", "superspacetime-two-hamiltonians",
+    "superspacetime-two-times", "superspacetime-permutation", "superspacetime-target-psi",
+    "superspacetime-reference", "superspacetime-zero-amplitudes",
+    "superspacetime-overflowing-amplitude",
+]
+
+
+class TestDataRefusalsNameTheKey:
+    """The family constructor is the one place that checks a model's data,
+    and each of its refusals starts with the model-file key it refuses."""
+
+    @pytest.mark.parametrize("name, edit, start", DATA_REFUSALS, ids=DATA_REFUSAL_IDS)
+    def test_refusal_starts_with_the_key(self, name, edit, start):
+        with pytest.raises(ModelValidationError) as err:
+            load_model_obj(shipped_obj(name, edit))
+        assert str(err.value).startswith(start)
+
+    @pytest.mark.parametrize("k", [3, 6],
+                             ids=["switch-not-unitary", "switch-unknown-key"])
+    def test_cli_exits_3_naming_the_key(self, capsys, tmp_path, k):
+        name, edit, start = DATA_REFUSALS[k]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(shipped_obj(name, edit)))
+        code = main(["eval", "--model", str(path), "--b", "I", "--a", "I"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith(f"model error: {start}") and err.count("\n") == 1
+
+    def test_library_switch_refusal_is_the_file_message(self):
+        with pytest.raises(ModelValidationError) as from_file:
+            load_model_obj(shipped_obj("switch_qubit", DATA_REFUSALS[6][1]))
+        segments = dict.fromkeys((*SWITCH_NAMES, "zz9"), np.eye(2))
+        with pytest.raises(ModelValidationError) as from_library:
+            SwitchModel(2, np.eye(4)[0], segments)
+        assert str(from_library.value) == str(from_file.value)

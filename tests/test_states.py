@@ -338,12 +338,14 @@ class TestSwitchSegments:
     def test_missing_segment_is_named(self, rng):
         segs = self.segments(rng)
         del segs["xy0"]
-        with pytest.raises(ModelValidationError, match="^segments: missing segment 'xy0'$"):
+        # the message names the model-file key, as a switch file's refusal does
+        with pytest.raises(ModelValidationError,
+                           match="^unitaries: missing required key 'xy0'$"):
             SwitchModel(2, np.kron(KET0, KET0), segs)
 
     def test_unknown_segment_is_named(self, rng):
         segs = {**self.segments(rng), "vx1": np.eye(2)}
-        with pytest.raises(ModelValidationError, match="^segments: unknown segment 'vx1'$"):
+        with pytest.raises(ModelValidationError, match="^unitaries: unknown key 'vx1'$"):
             SwitchModel(2, np.kron(KET0, KET0), segs)
 
     def test_branches_are_the_named_chains(self, rng):
