@@ -234,18 +234,12 @@ class LeftIdealReport:
 
     ``R_b`` has the columns ``r(b w)``, the forward vectors of the letter
     ``b`` times each basis word ``w`` (``GeneralizedState.letter_vectors``).
-    Both violations are squared spectral norms of ``R_b`` on the orthogonal
-    complement of a span, so neither depends on which basis a span is given
-    in.
-
-    ``max_violation`` is ``max_b ||R_b[:, dom] (1 - P_dom)||^2``, where
-    ``P_dom`` projects onto the quotient span of the domain words (length
-    <= max_len - 1, the classes the quotient action maps inside the basis),
-    the right singular vectors of their forward vectors with ``s^2`` at or
-    above the cutoff.  It is zero exactly when left multiplication is
-    well-defined on those classes.  ``max_violation_unrestricted`` is the
-    same norm of ``R_b`` off the whole quotient span, as an additional
-    diagnostic.  Pairs are letters times null directions:
+    A violation is ``max_b ||R_b (1 - P)||^2``, ``P`` the projector onto the
+    ``_quotient_span`` of the same words, so it depends on no basis of a span.
+    ``max_violation`` takes the domain words (length <= max_len - 1, the
+    classes the quotient action maps inside the basis) and is zero exactly
+    when left multiplication is well-defined on them;
+    ``max_violation_unrestricted`` takes the whole basis, a diagnostic.
     ``evaluated_pairs`` counts letters x the domain's null dimension and
     ``skipped_pairs`` the remaining letters x (null_rank - that dimension).
     """
@@ -264,6 +258,13 @@ def _domain(basis: WordBasis) -> list[int]:
     return [i for i, w in enumerate(basis.words) if len(w) <= basis.max_len - 1]
 
 
+def _quotient_span(r: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal columns spanning the quotient span of the words whose
+    forward vectors are ``r``'s columns: right singular vectors, s^2 >= cutoff."""
+    _, sv, vh = np.linalg.svd(r, full_matrices=False)
+    return vh[sv**2 >= cutoff].conj().T
+
+
 def _sq_norm_off_span(m: np.ndarray, q: np.ndarray) -> float:
     """``||m (1 - q q^dagger)||_2^2`` for ``q`` with orthonormal columns, as
     the largest eigenvalue of ``M M^dagger``, ``M = m - (m q) q^dagger``
@@ -279,19 +280,16 @@ def check_left_ideal(
 ) -> LeftIdealReport:
     """For each generator letter b, measure how far b maps null vectors out of
     the null space; see ``LeftIdealReport`` for the quantities.  Both spans
-    come from the forward vectors, so every problem has the size of ``R_b``:
-    the unrestricted one is the orthonormalized quotient span, the in-cap
-    one a thin SVD of the domain words' forward vectors."""
+    follow ``_quotient_span`` from one forward pass ``R`` over the basis, so
+    of the null-space split only ``cutoff`` and ``null_rank`` are read."""
     if ns.null_rank == 0:
         # a principal block of a positive-definite Gram matrix has no null space
         return LeftIdealReport(0.0, 0, 0, 0.0)
     dom = _domain(basis)
     letters = list(basis.algebra.generator_letters())
     rhos = state.letter_vectors(letters, basis.words)
-    _, sv, vh = np.linalg.svd(
-        state.forward_vectors([basis.words[i] for i in dom]), full_matrices=False)
-    q_dom = vh[sv**2 >= ns.cutoff].conj().T
-    q, _ = np.linalg.qr(ns.quotient_basis)
+    r = state.forward_vectors(basis.words)
+    q, q_dom = (_quotient_span(m, ns.cutoff) for m in (r, r[:, dom]))
     dim_dom = len(dom) - q_dom.shape[1]
     return LeftIdealReport(
         max_violation=max(_sq_norm_off_span(rho[:, dom], q_dom) for rho in rhos),

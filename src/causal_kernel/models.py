@@ -2,8 +2,9 @@
 
 Complex numbers are ``[re, im]`` pairs, vectors are lists of pairs, matrices
 nested lists of pairs.  Every file carries ``"version": 1`` and a ``family``
-tag; the remaining keys are family-specific (see README for the schema).
-The loader checks JSON types and converts values; the family constructor
+tag; the remaining keys are family-specific (see README for the schema),
+and a key the schema does not name is refused at every level.  The loader
+checks keys and JSON types and converts values; the family constructor
 checks the data, and each of its refusals names the model-file key.
 
 Each loaded model exposes a symbol table for the expression DSL: automatic
@@ -38,6 +39,13 @@ SCHEMA_VERSION = 1
 
 _SEQUENTIAL_PREFIXES = ("x", "y", "z", "w")
 _SWITCH_PREFIXES = ("x", "y", "u", "v")
+
+# the keys a model file may hold besides each family's own; any other key,
+# at any level, is refused
+_COMMON_KEYS = ("version", "family", "phiBasis", "symbols")
+_SYMBOL_KEYS = ("factor", "matrix")
+_FUZZ_BRANCH_KEYS = ("weight", "order", "unitaries")
+_SUPERSPACETIME_BRANCH_KEYS = ("amplitude", "permutation", "hamiltonians", "times")
 
 
 class ModelFormatError(Exception):
@@ -91,6 +99,12 @@ def _list_from(value, where: str, items: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ModelFormatError(f"{where}: expected a list of {items}")
     return value
+
+
+def _refuse_unknown(obj: dict, keys, where: str) -> None:
+    for key in obj:
+        if key not in keys:
+            raise ModelFormatError(f"{where}: unknown key {key!r}")
 
 
 def _require(obj: dict, key: str, where: str):
@@ -156,6 +170,7 @@ def _user_symbols(state: GeneralizedState, spec) -> dict[str, FreeElement]:
             )
         if not isinstance(entry, dict):
             raise ModelFormatError(f"symbols.{name}: expected an object")
+        _refuse_unknown(entry, _SYMBOL_KEYS, f"symbols.{name}")
         factor = _int_from(_require(entry, "factor", f"symbols.{name}"),
                            f"symbols.{name}.factor")
         if factor not in slots:
@@ -168,12 +183,14 @@ def _user_symbols(state: GeneralizedState, spec) -> dict[str, FreeElement]:
     return out
 
 
-def _entries(obj: dict, key: str):
-    """``(where, entry)`` for each object of the list ``obj[key]``."""
+def _entries(obj: dict, key: str, keys):
+    """``(where, entry)`` for each object of the list ``obj[key]``, each
+    holding no key outside ``keys``."""
     raw = _list_from(_require(obj, key, "model"), key, "objects")
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ModelFormatError(f"{key}[{i}]: expected an object")
+        _refuse_unknown(entry, keys, f"{key}[{i}]")
         yield f"{key}[{i}]", entry
 
 
@@ -199,7 +216,7 @@ def _load_fuzz(obj: dict) -> GeneralizedState:
     dim = _int_from(_require(obj, "dim", "model"), "dim")
     psi = _vector_from(_require(obj, "psi", "model"), "psi")
     branches = []
-    for where, entry in _entries(obj, "branches"):
+    for where, entry in _entries(obj, "branches", _FUZZ_BRANCH_KEYS):
         weight = _real_from(_require(entry, "weight", where), f"{where}.weight")
         order = _require(entry, "order", where)
         us = _require(entry, "unitaries", where)
@@ -218,7 +235,7 @@ def _load_superspacetime(obj: dict) -> GeneralizedState:
                            "insertion-point labels")
     target_psi = _vector_from(_require(obj, "targetPsi", "model"), "targetPsi")
     branches = []
-    for where, entry in _entries(obj, "branches"):
+    for where, entry in _entries(obj, "branches", _SUPERSPACETIME_BRANCH_KEYS):
         amplitude = _complex_from(_require(entry, "amplitude", where),
                                   f"{where}.amplitude")
         permutation = _require(entry, "permutation", where)
@@ -245,11 +262,13 @@ def _load_superspacetime(obj: dict) -> GeneralizedState:
     return SuperspacetimeModel(dim, reference, target_psi, branches)
 
 
+# each family's loader and the keys of its file besides _COMMON_KEYS
 _LOADERS = {
-    "sequential": _load_sequential,
-    "switch": _load_switch,
-    "fuzz": _load_fuzz,
-    "superspacetime": _load_superspacetime,
+    "sequential": (_load_sequential, ("dim", "psi", "unitaries")),
+    "switch": (_load_switch, ("dim", "psi", "unitaries")),
+    "fuzz": (_load_fuzz, ("dim", "psi", "branches")),
+    "superspacetime": (_load_superspacetime,
+                       ("dim", "reference", "targetPsi", "branches")),
 }
 
 
@@ -264,11 +283,12 @@ def load_model_obj(obj: dict) -> LoadedModel:
         )
     family = _require(obj, "family", "model")
     # a list or object family is unhashable, so it cannot be looked up
-    loader = _LOADERS.get(family) if isinstance(family, str) else None
-    if loader is None:
+    if not (isinstance(family, str) and family in _LOADERS):
         raise ModelFormatError(
             f"family: expected one of {sorted(_LOADERS)}, got {family!r}"
         )
+    loader, keys = _LOADERS[family]
+    _refuse_unknown(obj, _COMMON_KEYS + keys, "model")
     phi_basis = obj.get("phiBasis", "full")
     if phi_basis != "full":
         raise ModelFormatError(

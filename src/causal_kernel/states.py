@@ -497,9 +497,16 @@ class SuperspacetimeModel(FuzzModel):
         branches: Sequence[SuperspacetimeBranch],
     ):
         dim = int(dim)
-        if len(tuple(reference)) != 2:
+        reference = tuple(reference)
+        if len(reference) != 2:
             raise ModelValidationError(
                 "reference: must name exactly two insertion points"
+            )
+        # a label is any JSON value, an unhashable list or object too
+        if reference[0] == reference[1]:
+            raise ModelValidationError(
+                f"reference: the two insertion points have the same label "
+                f"{reference[0]!r}"
             )
         target_psi = _check_state_vector("targetPsi", target_psi, dim)
         branches = tuple(branches)

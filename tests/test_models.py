@@ -14,7 +14,13 @@ from causal_kernel.models import (
     slot_prefixes,
 )
 from causal_kernel.oracle import chain_amplitude
-from causal_kernel.states import ModelValidationError, SequentialModel, SwitchModel
+from causal_kernel.states import (
+    ModelValidationError,
+    SequentialModel,
+    SuperspacetimeBranch,
+    SuperspacetimeModel,
+    SwitchModel,
+)
 from conftest import SWITCH_NAMES
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -372,6 +378,11 @@ DATA_REFUSALS = [
      "targetPsi: not normalized"),
     ("superspacetime_two_branch", _set(("reference",), ["p0"]),
      "reference: must name exactly two insertion points"),
+    ("superspacetime_two_branch", _set(("reference",), ["p0", "p0"]),
+     "reference: the two insertion points have the same label 'p0'"),
+    # a label is any JSON value, so the labels are compared, not hashed
+    ("superspacetime_two_branch", _set(("reference",), [{"at": [0]}, {"at": [0]}]),
+     "reference: the two insertion points have the same label"),
     ("superspacetime_two_branch", _zero_amplitudes,
      "branches: amplitude vector is not normalizable"),
     # the norm overflows to inf, which would scale every amplitude to 0
@@ -385,7 +396,8 @@ DATA_REFUSAL_IDS = [
     "fuzz-normalization", "superspacetime-no-branch", "superspacetime-not-hermitian",
     "superspacetime-shape", "superspacetime-two-hamiltonians",
     "superspacetime-two-times", "superspacetime-permutation", "superspacetime-target-psi",
-    "superspacetime-reference", "superspacetime-zero-amplitudes",
+    "superspacetime-reference", "superspacetime-equal-labels",
+    "superspacetime-equal-unhashable-labels", "superspacetime-zero-amplitudes",
     "superspacetime-overflowing-amplitude",
 ]
 
@@ -418,3 +430,58 @@ class TestDataRefusalsNameTheKey:
         with pytest.raises(ModelValidationError) as from_library:
             SwitchModel(2, np.eye(4)[0], segments)
         assert str(from_library.value) == str(from_file.value)
+
+    def test_library_equal_reference_labels_are_the_file_message(self):
+        edit = _set(("reference",), [["p"], ["p"]])
+        with pytest.raises(ModelValidationError) as from_file:
+            load_model_obj(shipped_obj("superspacetime_two_branch", edit))
+        still = SuperspacetimeBranch(1.0, (0, 1), (np.zeros((2, 2)),) * 3, (0.0,) * 3)
+        with pytest.raises(ModelValidationError) as from_library:
+            SuperspacetimeModel(2, [["p"], ["p"]], np.eye(2)[0], [still])
+        assert str(from_library.value) == str(from_file.value)
+        assert str(from_file.value).startswith("reference: ")
+
+    def test_distinct_unhashable_labels_load(self):
+        edit = _set(("reference",), [["p"], {"q": 1}])
+        assert load_model_obj(shipped_obj("superspacetime_two_branch", edit))
+
+
+def _rename(path, new):
+    def edit(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[new] = obj.pop(last)
+
+    return edit
+
+
+# a key the schema does not name, at each level of a model file, and the
+# whole refusal
+UNKNOWN_KEYS = [
+    ("sequential_qubit", _rename(("symbols",), "symbol"), "model: unknown key 'symbol'"),
+    ("sequential_qubit", _set(("phiBasys",), "sampled"), "model: unknown key 'phiBasys'"),
+    ("fuzz_two_branch", _set(("branches", 0, "wieght"), 1.0),
+     "branches[0]: unknown key 'wieght'"),
+    ("superspacetime_two_branch", _rename(("branches", 1, "times"), "time"),
+     "branches[1]: unknown key 'time'"),
+    ("sequential_qubit", _set(("symbols", "x", "factr"), 1),
+     "symbols.x: unknown key 'factr'"),
+]
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("name, edit, message", UNKNOWN_KEYS, ids=[
+        "model-renamed", "model-misspelt", "fuzz-branch", "superspacetime-branch",
+        "symbol-entry"])
+    def test_is_a_format_error_naming_the_level(self, name, edit, message):
+        with pytest.raises(ModelFormatError) as err:
+            load_model_obj(shipped_obj(name, edit))
+        assert str(err.value) == message
+
+    def test_cli_exits_3(self, capsys, tmp_path):
+        name, edit, message = UNKNOWN_KEYS[0]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(shipped_obj(name, edit)))
+        code = main(["eval", "--model", str(path), "--b", "I", "--a", "I"])
+        assert (code, capsys.readouterr()) == (3, ("", f"model error: {message}\n"))
