@@ -130,6 +130,11 @@ def gram(state: GeneralizedState, basis: WordBasis, jobs: int = 1) -> np.ndarray
 
 @dataclass(frozen=True)
 class NullSpaceResult:
+    """``eigenvalues`` ascends.  After a certified split (``null_space``)
+    its first ``null_rank`` entries are stored as 0.0, each certified inside
+    ``[-nu, nu]`` within the rounding bound ``[-beta, beta]`` and not
+    measured, and the rest are Ritz values; else it is ``eigvalsh``'s."""
+
     eigenvalues: np.ndarray
     null_rank: int
     quotient_basis: np.ndarray    # columns: G-orthonormal vectors spanning the complement
@@ -147,14 +152,21 @@ class NullSpaceResult:
         return complete[:, self.quotient_dim:]
 
 
-def _pivoted_cholesky(h: np.ndarray, rank: int) -> np.ndarray:
-    """``rank`` steps of diagonally pivoted Cholesky on a hermitian PSD ``h``:
-    the ``n x rank`` factor whose columns span h's dominant range."""
+def _pivoted_cholesky(h: np.ndarray, steps: int, floor: float = -np.inf) -> np.ndarray:
+    """Up to ``steps`` steps of diagonally pivoted Cholesky on a hermitian
+    PSD ``h``, stopping before a largest remaining pivot below ``floor``:
+    the ``n x k`` factor whose columns span h's dominant range.  Its columns
+    grow in doubling blocks, so a low-rank ``h`` allocates no ``n x n``
+    factor."""
     n = h.shape[0]
-    factor = np.zeros((n, rank), dtype=complex)
+    factor = np.zeros((n, min(steps, 8)), dtype=complex)
     diag = np.real(np.diagonal(h)).copy()
-    for k in range(rank):
+    for k in range(steps):
         p = int(np.argmax(diag))
+        if diag[p] < floor:
+            return factor[:, :k]
+        if k == factor.shape[1]:
+            factor = np.hstack([factor, np.zeros((n, min(k, steps - k)), complex)])
         col = h[:, p] - factor[:, :k] @ factor[p, :k].conj()
         col /= np.sqrt(max(diag[p], np.finfo(float).tiny))
         factor[:, k] = col
@@ -163,20 +175,59 @@ def _pivoted_cholesky(h: np.ndarray, rank: int) -> np.ndarray:
     return factor
 
 
+def _residual_norm(h: np.ndarray, factor: np.ndarray) -> float:
+    """``||h - F F^dagger||_F``, accumulated over blocks of 64 rows so that
+    no second ``n x n`` array is formed."""
+    fh = factor.conj().T
+    blocks = (h[i:i + 64] - factor[i:i + 64] @ fh for i in range(0, len(h), 64))
+    return float(np.sqrt(sum(np.vdot(b, b).real for b in blocks)))
+
+
+def _refine_split(h: np.ndarray, factor: np.ndarray, null_top: float):
+    """Rayleigh-Ritz on the span of ``factor``, and the Davis-Kahan bound
+    ``||h Q - Q A||_2 / (theta_min - null_top)`` on the sine of its angle
+    to the dominant eigenspace, ``null_top`` bounding the eigenvalues left
+    out; subspace iteration refines the span up to ``SPLIT_REFINE_STEPS``
+    times while the bound exceeds ``NULL_TOL``.  The last (bound, q, ritz, rot)."""
+    n, rank = factor.shape
+    q, _ = np.linalg.qr(factor)
+    for step in range(SPLIT_REFINE_STEPS + 1):
+        hq = h @ q
+        a = q.conj().T @ hq
+        ritz, rot = np.linalg.eigh(a)
+        bound = 0.0
+        if 0 < rank < n:
+            gap = float(ritz[0]) - null_top
+            resid = np.linalg.norm(hq - q @ a, 2)
+            bound = resid / gap if gap > 0 else np.inf
+        if bound <= NULL_TOL or step == SPLIT_REFINE_STEPS:
+            return bound, q, ritz, rot
+        q, _ = np.linalg.qr(hq)
+
+
 def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
     """Split of a hermitian PSD Gram matrix into null and quotient parts.
 
-    The full spectrum is measured (``eigvalsh``); the cutoff scales with the
-    largest eigenvalue, and the quotient dimension ``r`` counts eigenvalues
-    at or above it.  The quotient span comes from ``r`` steps of pivoted
-    Cholesky and a Rayleigh-Ritz step on it, so no ``n x n`` eigenvector
-    matrix is formed.  The split is certified by the Davis-Kahan bound
-    ``||h Q - Q A||_2 / (theta_min - lambda_null_max)`` on the sine of its
-    angle to the exact dominant eigenspace; subspace iteration refines it
-    up to ``SPLIT_REFINE_STEPS`` times, and a bound still above ``NULL_TOL``
-    (a spectral cluster straddling the cutoff) is refused, as is a Cholesky
-    factor that is not finite (a cutoff at rounding level).  Quotient vectors
-    are Ritz vectors rescaled to orthonormality in the G-inner product.
+    Certified route: pivoted Cholesky on ``h = (g + g^H) / 2`` runs while a
+    pivot reaches ``tol * max(max diag h, 1)`` (at most the cutoff), giving
+    an ``n x k`` factor ``F``.  By Weyl's inequality the eigenvalues of ``h``
+    past the ``k``-th lie in ``[-nu, nu]``, ``nu = ||h - F F^H||_F``.  The
+    span of ``F`` goes through ``_refine_split`` with ``nu`` as the null
+    side of the gap, and the cutoff is ``tol * max(theta_max, 1)``.  The
+    split is certified when ``nu`` is finite (so are ``h`` and ``F``), the
+    bound is at most ``NULL_TOL``, ``theta_min`` reaches the cutoff, and
+    ``k = n`` or ``nu`` is below the cutoff and the rounding bound
+    ``beta = n eps max(theta_max, 1)``; the ``n - k`` null eigenvalues are
+    then stored as 0.0, and no ``n x n`` eigenproblem is solved.
+
+    Otherwise ``eigvalsh`` measures the full spectrum: an eigenvalue below
+    ``-GRAM_PSD_TOL`` is refused, the cutoff scales with the largest one,
+    and ``r`` steps of pivoted Cholesky, ``r`` the count at or above the
+    cutoff, give the span, refined with the largest null eigenvalue as the
+    far side of the gap.  A bound still above ``NULL_TOL`` (a cluster
+    straddling the cutoff) is refused, as is a factor that is not finite (a
+    cutoff at rounding level).  Quotient vectors are Ritz vectors rescaled
+    to orthonormality in the G-inner product.
     """
     g = np.asarray(g, dtype=complex)
     # one n x n buffer holds g - g^H and then (g + g^H) / 2, so the split
@@ -191,12 +242,28 @@ def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
         np.conj(g.T, out=h)
         h += g
         h /= 2.0
+        n = h.shape[0]
+        floor = tol * float(np.max(np.real(np.diagonal(h)), initial=1.0))
+        factor = _pivoted_cholesky(h, n, floor)
+        nu = _residual_norm(h, factor)
+    if np.isfinite(nu):
+        bound, q, ritz, rot = _refine_split(h, factor, nu)
+        k = factor.shape[1]
+        scale = max(float(ritz[-1]), 1.0) if k else 1.0
+        cutoff = tol * scale
+        if (bound <= NULL_TOL and (k == 0 or ritz[0] >= cutoff) and (
+                k == n or nu < cutoff and nu <= n * np.finfo(float).eps * scale)):
+            return NullSpaceResult(
+                eigenvalues=np.concatenate([np.zeros(n - k), ritz]),
+                null_rank=n - k,
+                quotient_basis=(q @ rot) / np.sqrt(ritz),
+                cutoff=float(cutoff),
+            )
     evals = np.linalg.eigvalsh(h)
     if evals.size and not evals[0] >= -GRAM_PSD_TOL:
         raise GramPropertyError("positive semidefiniteness", float(-evals[0]))
     scale = max(float(evals[-1]), 1.0) if evals.size else 1.0
     cutoff = tol * scale
-    n = evals.size
     rank = int(np.sum(evals >= cutoff))
     # largest eigenvalue left in the null space, the far side of the gap
     null_top = float(evals[n - rank - 1]) if rank < n else -np.inf
@@ -205,21 +272,9 @@ def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
     if not np.all(np.isfinite(factor)):
         # a pivot at or below rounding level: the cutoff sits inside the noise
         raise GramPropertyError("null-space split", np.inf)
-    q, _ = np.linalg.qr(factor)
-    for step in range(SPLIT_REFINE_STEPS + 1):
-        hq = h @ q
-        a = q.conj().T @ hq
-        ritz, rot = np.linalg.eigh(a)
-        bound = 0.0
-        if 0 < rank < n:
-            gap = float(ritz[0]) - null_top
-            resid = np.linalg.norm(hq - q @ a, 2)
-            bound = resid / gap if gap > 0 else np.inf
-        if bound <= NULL_TOL:
-            break
-        if step == SPLIT_REFINE_STEPS:
-            raise GramPropertyError("null-space split", float(bound))
-        q, _ = np.linalg.qr(hq)
+    bound, q, ritz, rot = _refine_split(h, factor, null_top)
+    if not bound <= NULL_TOL:
+        raise GramPropertyError("null-space split", float(bound))
     return NullSpaceResult(
         eigenvalues=evals,
         null_rank=n - rank,

@@ -158,19 +158,21 @@ class TestNullSpace:
 
     # eigh's own eigenvectors are accurate to about eps ||G|| / gap: 1e-15
     # on the models, 2e-9 on the synthetic spectrum, whose smallest kept
-    # eigenvalue 1e-7 sits over a 1e-10 tail (null_space refines it twice)
-    @pytest.mark.parametrize("make, angle_tol", [
-        (lambda rng: model_gram(SWITCH, 2), 1e-10),
-        (lambda rng: model_gram(MODELS_DIR / "fuzz_two_branch.json", 2), 1e-10),
-        (lambda rng: model_gram(MODELS_DIR / "superspacetime_two_branch.json", 2),
-         1e-10),
-        (lambda rng: model_gram(SEQUENTIAL, 2), 1e-10),
-        (lambda rng: model_gram(SEQUENTIAL, 5), 1e-10),
+    # eigenvalue 1e-7 sits over a 1e-10 tail (null_space refines it twice).
+    # The models' splits are certified, so their null eigenvalues are stored
+    # as 0.0; the synthetic tail is far above rounding level, so its split
+    # takes the dense route and stores eigvalsh's spectrum.
+    @pytest.mark.parametrize("make, angle_tol, certified", [
+        (lambda rng: model_gram(SWITCH, 2), 1e-10, True),
+        (lambda rng: model_gram(FUZZ, 2), 1e-10, True),
+        (lambda rng: model_gram(SUPERSPACETIME, 2), 1e-10, True),
+        (lambda rng: model_gram(SEQUENTIAL, 2), 1e-10, True),
+        (lambda rng: model_gram(SEQUENTIAL, 5), 1e-10, True),
         (lambda rng: spectrum_gram(rng, [1e-10] * 32 + list(np.logspace(-7, 0, 8))),
-         gns.NULL_TOL),
+         gns.NULL_TOL, False),
     ], ids=["switch-L2", "fuzz-L2", "superspacetime-L2", "sequential-L2",
             "sequential-L5", "synthetic-1e-7-over-1e-10"])
-    def test_split_matches_dense_eigh(self, rng, make, angle_tol):
+    def test_split_matches_dense_eigh(self, rng, make, angle_tol, certified):
         g = make(rng)
         ns = null_space(g)
         h = (g + g.conj().T) / 2.0
@@ -180,13 +182,52 @@ class TestNullSpace:
         # eigvalsh and eigh may differ in the last bits of the largest eigenvalue
         assert abs(ns.cutoff - cutoff) <= 1e-14 * cutoff
         assert ns.null_rank == len(g) - top.shape[1]
-        np.testing.assert_array_equal(ns.eigenvalues, np.linalg.eigvalsh(h))
+        dense = np.linalg.eigvalsh(h)
+        if certified:
+            n, r, top_eval = len(g), top.shape[1], float(dense[-1])
+            np.testing.assert_allclose(ns.eigenvalues[n - r:], dense[n - r:],
+                                       rtol=0, atol=1e-12 * top_eval)
+            assert np.all(ns.eigenvalues[:n - r] == 0.0)
+            assert np.max(np.abs(dense[:n - r])) <= n * np.finfo(float).eps * top_eval
+        else:
+            np.testing.assert_array_equal(ns.eigenvalues, dense)
         q, _ = np.linalg.qr(ns.quotient_basis)
         assert sin_angle(q, top) <= angle_tol
         nv = ns.null_vectors
         assert nv.shape == (len(g), ns.null_rank)
         assert np.max(np.abs(nv.conj().T @ nv - np.eye(ns.null_rank))) <= 1e-12
         assert np.max(np.abs(q.conj().T @ nv)) <= 1e-12
+
+    @pytest.mark.parametrize("path, max_len", [
+        (SWITCH, 2), (FUZZ, 2), (SUPERSPACETIME, 2), (SEQUENTIAL, 2),
+        (SEQUENTIAL, 5), (SEQUENTIAL, 6),
+    ], ids=["switch-L2", "fuzz-L2", "superspacetime-L2", "sequential-L2",
+            "sequential-L5", "sequential-L6"])
+    def test_model_split_solves_no_dense_eigenproblem(self, path, max_len, monkeypatch):
+        g = model_gram(path, max_len)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a certified split")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        ns = null_space(g)
+        assert ns.null_rank > 0
+        assert np.all(ns.eigenvalues[:ns.null_rank] == 0.0)
+
+    # a rank-4 PSD matrix plus one negative eigenvalue beyond the rounding
+    # bound fails the certificate: below -GRAM_PSD_TOL it is refused, above
+    # it is measured, and neither is stored as 0.0
+    def test_hidden_negative_eigenvalue_is_refused(self, rng):
+        g = spectrum_gram(rng, [-1e-7] + [0.0] * 195 + [0.25, 0.5, 0.75, 1.0])
+        with pytest.raises(GramPropertyError, match="positive semidefiniteness") as err:
+            null_space(g)
+        assert abs(err.value.magnitude - 1e-7) <= 1e-9
+
+    def test_hidden_small_negative_eigenvalue_is_measured(self, rng):
+        g = spectrum_gram(rng, [-1e-12] + [0.0] * 195 + [0.25, 0.5, 0.75, 1.0])
+        ns = null_space(g)
+        assert ns.null_rank == 196
+        assert abs(ns.eigenvalues[0] + 1e-12) <= 1e-14
 
     def test_cluster_straddling_the_cutoff_is_refused(self, rng):
         # eigenvalues 1.00001e-8 and 0.99999e-8 on both sides of the cutoff
