@@ -130,10 +130,10 @@ def gram(state: GeneralizedState, basis: WordBasis, jobs: int = 1) -> np.ndarray
 
 @dataclass(frozen=True)
 class NullSpaceResult:
-    """``eigenvalues`` ascends.  After a certified split (``null_space``)
-    its first ``null_rank`` entries are stored as 0.0, each certified inside
-    ``[-nu, nu]`` within the rounding bound ``[-beta, beta]`` and not
-    measured, and the rest are Ritz values; else it is ``eigvalsh``'s."""
+    """A split into null and quotient parts.  ``eigenvalues`` ascends, and
+    its first ``null_rank`` entries are the null side: ``eigvalsh``'s from
+    ``null_space``, those inside ``[-beta, beta]`` stored as 0.0; from
+    ``build_gns``, the structural zeros of ``R^dagger R``, then ``s^2``."""
 
     eigenvalues: np.ndarray
     null_rank: int
@@ -152,21 +152,14 @@ class NullSpaceResult:
         return complete[:, self.quotient_dim:]
 
 
-def _pivoted_cholesky(h: np.ndarray, steps: int, floor: float = -np.inf) -> np.ndarray:
-    """Up to ``steps`` steps of diagonally pivoted Cholesky on a hermitian
-    PSD ``h``, stopping before a largest remaining pivot below ``floor``:
-    the ``n x k`` factor whose columns span h's dominant range.  Its columns
-    grow in doubling blocks, so a low-rank ``h`` allocates no ``n x n``
-    factor."""
+def _pivoted_cholesky(h: np.ndarray, rank: int) -> np.ndarray:
+    """``rank`` steps of diagonally pivoted Cholesky on a hermitian PSD ``h``:
+    the ``n x rank`` factor whose columns span h's dominant range."""
     n = h.shape[0]
-    factor = np.zeros((n, min(steps, 8)), dtype=complex)
+    factor = np.zeros((n, rank), dtype=complex)
     diag = np.real(np.diagonal(h)).copy()
-    for k in range(steps):
+    for k in range(rank):
         p = int(np.argmax(diag))
-        if diag[p] < floor:
-            return factor[:, :k]
-        if k == factor.shape[1]:
-            factor = np.hstack([factor, np.zeros((n, min(k, steps - k)), complex)])
         col = h[:, p] - factor[:, :k] @ factor[p, :k].conj()
         col /= np.sqrt(max(diag[p], np.finfo(float).tiny))
         factor[:, k] = col
@@ -175,59 +168,23 @@ def _pivoted_cholesky(h: np.ndarray, steps: int, floor: float = -np.inf) -> np.n
     return factor
 
 
-def _residual_norm(h: np.ndarray, factor: np.ndarray) -> float:
-    """``||h - F F^dagger||_F``, accumulated over blocks of 64 rows so that
-    no second ``n x n`` array is formed."""
-    fh = factor.conj().T
-    blocks = (h[i:i + 64] - factor[i:i + 64] @ fh for i in range(0, len(h), 64))
-    return float(np.sqrt(sum(np.vdot(b, b).real for b in blocks)))
-
-
-def _refine_split(h: np.ndarray, factor: np.ndarray, null_top: float):
-    """Rayleigh-Ritz on the span of ``factor``, and the Davis-Kahan bound
-    ``||h Q - Q A||_2 / (theta_min - null_top)`` on the sine of its angle
-    to the dominant eigenspace, ``null_top`` bounding the eigenvalues left
-    out; subspace iteration refines the span up to ``SPLIT_REFINE_STEPS``
-    times while the bound exceeds ``NULL_TOL``.  The last (bound, q, ritz, rot)."""
-    n, rank = factor.shape
-    q, _ = np.linalg.qr(factor)
-    for step in range(SPLIT_REFINE_STEPS + 1):
-        hq = h @ q
-        a = q.conj().T @ hq
-        ritz, rot = np.linalg.eigh(a)
-        bound = 0.0
-        if 0 < rank < n:
-            gap = float(ritz[0]) - null_top
-            resid = np.linalg.norm(hq - q @ a, 2)
-            bound = resid / gap if gap > 0 else np.inf
-        if bound <= NULL_TOL or step == SPLIT_REFINE_STEPS:
-            return bound, q, ritz, rot
-        q, _ = np.linalg.qr(hq)
-
-
 def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
-    """Split of a hermitian PSD Gram matrix into null and quotient parts.
+    """Split of a hermitian PSD Gram matrix into null and quotient parts,
+    measured on ``g``: the independent check of ``build_gns``'s split of
+    ``R``, as ``oracle.py`` is of the states.
 
-    Certified route: pivoted Cholesky on ``h = (g + g^H) / 2`` runs while a
-    pivot reaches ``tol * max(max diag h, 1)`` (at most the cutoff), giving
-    an ``n x k`` factor ``F``.  By Weyl's inequality the eigenvalues of ``h``
-    past the ``k``-th lie in ``[-nu, nu]``, ``nu = ||h - F F^H||_F``.  The
-    span of ``F`` goes through ``_refine_split`` with ``nu`` as the null
-    side of the gap, and the cutoff is ``tol * max(theta_max, 1)``.  The
-    split is certified when ``nu`` is finite (so are ``h`` and ``F``), the
-    bound is at most ``NULL_TOL``, ``theta_min`` reaches the cutoff, and
-    ``k = n`` or ``nu`` is below the cutoff and the rounding bound
-    ``beta = n eps max(theta_max, 1)``; the ``n - k`` null eigenvalues are
-    then stored as 0.0, and no ``n x n`` eigenproblem is solved.
-
-    Otherwise ``eigvalsh`` measures the full spectrum: an eigenvalue below
+    ``eigvalsh`` measures the full spectrum: an eigenvalue below
     ``-GRAM_PSD_TOL`` is refused, the cutoff scales with the largest one,
-    and ``r`` steps of pivoted Cholesky, ``r`` the count at or above the
-    cutoff, give the span, refined with the largest null eigenvalue as the
-    far side of the gap.  A bound still above ``NULL_TOL`` (a cluster
-    straddling the cutoff) is refused, as is a factor that is not finite (a
-    cutoff at rounding level).  Quotient vectors are Ritz vectors rescaled
-    to orthonormality in the G-inner product.
+    and the quotient dimension ``r`` counts those at or above it.  ``r``
+    steps of pivoted Cholesky and a Rayleigh-Ritz step give the quotient
+    span, certified by the Davis-Kahan bound ``||h Q - Q A||_2 / (theta_min
+    - lambda_null_max)`` on the sine of its angle to the dominant
+    eigenspace; subspace iteration refines it up to ``SPLIT_REFINE_STEPS``
+    times.  A bound still above ``NULL_TOL`` (a cluster straddling the
+    cutoff) is refused, as is a factor that is not finite (a cutoff at
+    rounding level).  Quotient vectors are Ritz vectors rescaled to
+    G-orthonormality.  After the refusals, a null eigenvalue inside the
+    rounding bound ``beta = n eps max(lambda_max, 1)`` is stored as 0.0.
     """
     g = np.asarray(g, dtype=complex)
     # one n x n buffer holds g - g^H and then (g + g^H) / 2, so the split
@@ -242,28 +199,12 @@ def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
         np.conj(g.T, out=h)
         h += g
         h /= 2.0
-        n = h.shape[0]
-        floor = tol * float(np.max(np.real(np.diagonal(h)), initial=1.0))
-        factor = _pivoted_cholesky(h, n, floor)
-        nu = _residual_norm(h, factor)
-    if np.isfinite(nu):
-        bound, q, ritz, rot = _refine_split(h, factor, nu)
-        k = factor.shape[1]
-        scale = max(float(ritz[-1]), 1.0) if k else 1.0
-        cutoff = tol * scale
-        if (bound <= NULL_TOL and (k == 0 or ritz[0] >= cutoff) and (
-                k == n or nu < cutoff and nu <= n * np.finfo(float).eps * scale)):
-            return NullSpaceResult(
-                eigenvalues=np.concatenate([np.zeros(n - k), ritz]),
-                null_rank=n - k,
-                quotient_basis=(q @ rot) / np.sqrt(ritz),
-                cutoff=float(cutoff),
-            )
     evals = np.linalg.eigvalsh(h)
     if evals.size and not evals[0] >= -GRAM_PSD_TOL:
         raise GramPropertyError("positive semidefiniteness", float(-evals[0]))
     scale = max(float(evals[-1]), 1.0) if evals.size else 1.0
     cutoff = tol * scale
+    n = evals.size
     rank = int(np.sum(evals >= cutoff))
     # largest eigenvalue left in the null space, the far side of the gap
     null_top = float(evals[n - rank - 1]) if rank < n else -np.inf
@@ -272,9 +213,23 @@ def null_space(g: np.ndarray, tol: float = NULL_TOL) -> NullSpaceResult:
     if not np.all(np.isfinite(factor)):
         # a pivot at or below rounding level: the cutoff sits inside the noise
         raise GramPropertyError("null-space split", np.inf)
-    bound, q, ritz, rot = _refine_split(h, factor, null_top)
-    if not bound <= NULL_TOL:
-        raise GramPropertyError("null-space split", float(bound))
+    q, _ = np.linalg.qr(factor)
+    for step in range(SPLIT_REFINE_STEPS + 1):
+        hq = h @ q
+        a = q.conj().T @ hq
+        ritz, rot = np.linalg.eigh(a)
+        bound = 0.0
+        if 0 < rank < n:
+            gap = float(ritz[0]) - null_top
+            resid = np.linalg.norm(hq - q @ a, 2)
+            bound = resid / gap if gap > 0 else np.inf
+        if bound <= NULL_TOL:
+            break
+        if step == SPLIT_REFINE_STEPS:
+            raise GramPropertyError("null-space split", float(bound))
+        q, _ = np.linalg.qr(hq)
+    null = evals[:n - rank]
+    null[np.abs(null) <= n * np.finfo(float).eps * scale] = 0.0
     return NullSpaceResult(
         eigenvalues=evals,
         null_rank=n - rank,
@@ -313,11 +268,30 @@ def _domain(basis: WordBasis) -> list[int]:
     return [i for i, w in enumerate(basis.words) if len(w) <= basis.max_len - 1]
 
 
+def _kept(sv: np.ndarray, vh: np.ndarray, cutoff: float):
+    """The quotient span's rule: the right singular vectors with
+    ``s^2 >= cutoff``, as orthonormal columns, and their singular values."""
+    keep = sv**2 >= cutoff
+    return vh[keep].conj().T, sv[keep]
+
+
 def _quotient_span(r: np.ndarray, cutoff: float) -> np.ndarray:
     """Orthonormal columns spanning the quotient span of the words whose
-    forward vectors are ``r``'s columns: right singular vectors, s^2 >= cutoff."""
+    forward vectors are ``r``'s columns (``_kept``)."""
     _, sv, vh = np.linalg.svd(r, full_matrices=False)
-    return vh[sv**2 >= cutoff].conj().T
+    return _kept(sv, vh, cutoff)[0]
+
+
+def _split(r: np.ndarray, tol: float) -> NullSpaceResult:
+    """The split of ``G = R^dagger R`` from a thin SVD of ``R``: ``G`` has
+    ``n - len(s)`` structural zero eigenvalues, then ``s^2``; the cutoff is
+    ``tol * max(s_0^2, 1)`` and the quotient basis ``V_r / s_r`` (``_kept``)."""
+    _, sv, vh = np.linalg.svd(r, full_matrices=False)
+    cutoff = tol * max(float(sv[0]) ** 2, 1.0)
+    v, s = _kept(sv, vh, cutoff)
+    n = r.shape[1]
+    return NullSpaceResult(np.concatenate([np.zeros(n - sv.size), sv[::-1] ** 2]),
+                           n - s.size, v / s, cutoff)
 
 
 def _sq_norm_off_span(m: np.ndarray, q: np.ndarray) -> float:
@@ -355,7 +329,9 @@ def check_left_ideal(
 
 
 def _quotient_coords(ns: NullSpaceResult, g: np.ndarray) -> np.ndarray:
-    """Coordinates of every basis word class in the quotient basis (r x N)."""
+    """Coordinates of every basis word class in the quotient basis (r x N).
+    ``build_gns`` does not call it; it is kept only because the benchmark's
+    traced op (``perfbench/workloads.py``) does, like ``gram(jobs=)``."""
     return ns.quotient_basis.conj().T @ g
 
 
@@ -400,7 +376,7 @@ def represent(
 class GnsResult:
     basis: WordBasis
     gram: np.ndarray
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray    # NullSpaceResult's, from the split of R
     null_rank: int
     quotient_basis: np.ndarray
     omega_vector: np.ndarray
@@ -454,6 +430,8 @@ def build_gns(
     the left-ideal check passes and ``max_len >= 2``.
 
     ``max_len`` defaults to ``default_max_len(state.algebra)``, at least 1.
+    The forward vectors ``R`` are evaluated once; the Gram matrix is
+    ``R^dagger R`` and the null-space split comes from ``R`` (``_split``).
     ``tol`` is both the relative null-space cutoff and the left-ideal
     tolerance.  Refuses up front a ``tol`` that is not a finite number in
     (0, 1), a ``max_len`` that leaves the representation domain empty, and
@@ -470,8 +448,9 @@ def build_gns(
             "(words of length <= max_len - 1) empty"
         )
     basis = WordBasis.build(state.algebra, max_len)
-    g = gram(state, basis)
-    ns = null_space(g, tol=tol)
+    r = state.forward_vectors(basis.words)
+    g = r.conj().T @ r
+    ns = _split(r, tol)
     report = check_left_ideal(state, basis, ns)
     letter_reps = None
     # at max_len 1 the domain is the unit word alone: the left-ideal check
@@ -487,7 +466,7 @@ def build_gns(
         eigenvalues=ns.eigenvalues,
         null_rank=ns.null_rank,
         quotient_basis=ns.quotient_basis,
-        omega_vector=_quotient_coords(ns, g)[:, 0].copy(),
+        omega_vector=ns.quotient_basis.conj().T @ g[:, 0],
         letter_reps=letter_reps,
         left_ideal=report,
         reconstruction_error=None,
