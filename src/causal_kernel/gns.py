@@ -302,30 +302,32 @@ def _sq_norm_off_span(m: np.ndarray, q: np.ndarray) -> float:
     return max(float(np.linalg.eigvalsh(off @ off.conj().T)[-1]), 0.0)
 
 
+def _left_ideal(r: np.ndarray, rhos: np.ndarray, dom: list, ns: NullSpaceResult):
+    """The report from ``letter_vectors``'s ``(r, rhos)``: both spans follow
+    ``_quotient_span`` of ``r``, so ``ns`` gives only ``cutoff`` and ``null_rank``."""
+    if ns.null_rank == 0:
+        # a principal block of a positive-definite Gram matrix has no null space
+        return LeftIdealReport(0.0, 0, 0, 0.0)
+    q, q_dom = (_quotient_span(m, ns.cutoff) for m in (r, r[:, dom]))
+    dim_dom = len(dom) - q_dom.shape[1]
+    return LeftIdealReport(
+        max_violation=max(_sq_norm_off_span(rho[:, dom], q_dom) for rho in rhos),
+        evaluated_pairs=len(rhos) * dim_dom,
+        skipped_pairs=len(rhos) * (ns.null_rank - dim_dom),
+        max_violation_unrestricted=max(_sq_norm_off_span(rho, q) for rho in rhos),
+    )
+
+
 def check_left_ideal(
     state: GeneralizedState,
     basis: WordBasis,
     ns: NullSpaceResult,
 ) -> LeftIdealReport:
     """For each generator letter b, measure how far b maps null vectors out of
-    the null space; see ``LeftIdealReport`` for the quantities.  Both spans
-    follow ``_quotient_span`` from one forward pass ``R`` over the basis, so
-    of the null-space split only ``cutoff`` and ``null_rank`` are read."""
-    if ns.null_rank == 0:
-        # a principal block of a positive-definite Gram matrix has no null space
-        return LeftIdealReport(0.0, 0, 0, 0.0)
-    dom = _domain(basis)
+    the null space (``LeftIdealReport``): ``_left_ideal`` on one forward pass."""
     letters = list(basis.algebra.generator_letters())
-    rhos = state.letter_vectors(letters, basis.words)
-    r = state.forward_vectors(basis.words)
-    q, q_dom = (_quotient_span(m, ns.cutoff) for m in (r, r[:, dom]))
-    dim_dom = len(dom) - q_dom.shape[1]
-    return LeftIdealReport(
-        max_violation=max(_sq_norm_off_span(rho[:, dom], q_dom) for rho in rhos),
-        evaluated_pairs=len(letters) * dim_dom,
-        skipped_pairs=len(letters) * (ns.null_rank - dim_dom),
-        max_violation_unrestricted=max(_sq_norm_off_span(rho, q) for rho in rhos),
-    )
+    r, rhos = state.letter_vectors(letters, basis.words)
+    return _left_ideal(r, rhos, _domain(basis), ns)
 
 
 def _quotient_coords(ns: NullSpaceResult, g: np.ndarray) -> np.ndarray:
@@ -349,8 +351,8 @@ def represent(
     A class's quotient coordinates are ``W^dagger r(class)``, where
     ``W = R Q`` (``Q`` the quotient basis) has orthonormal columns.  On the
     domain words (length <= max_len - 1) the matrix is ``Y pinv(S)`` with
-    ``S = W^dagger R[:, dom]`` and ``Y = W^dagger R_letter[:, dom]``, the
-    letter's products taken on the slot groups (``letter_vectors``).
+    ``S = W^dagger R[:, dom]`` and ``Y = W^dagger R_letter[:, dom]``, from one
+    ``letter_vectors`` pass (``_letter_matrices``, which ``build_gns`` calls).
     Requires the left-ideal report to pass, otherwise the map is not
     well-defined on classes.  ``coords`` is not read; it is kept only
     because the benchmark's traced op (``perfbench/workloads.py``) passes
@@ -365,11 +367,16 @@ def represent(
     domain = _domain(basis)
     if not domain:
         raise RepresentationError("basis has no words inside the domain cap")
-    r = state.forward_vectors(basis.words)
-    wh = (r @ ns.quotient_basis).conj().T
-    dom_words = [basis.words[i] for i in domain]
-    y = wh @ state.letter_vectors([letter], dom_words)[0]
-    return y @ np.linalg.pinv(wh @ r[:, domain], rcond=1e-10)
+    r, rhos = state.letter_vectors([letter], basis.words)
+    return _letter_matrices(r, rhos, ns.quotient_basis, domain)[0]
+
+
+def _letter_matrices(r: np.ndarray, rhos: np.ndarray, quotient_basis: np.ndarray,
+                     dom: list):
+    """``Y pinv(S)`` (``represent``) per letter; ``W`` and ``pinv(S)`` formed once."""
+    wh = (r @ quotient_basis).conj().T
+    s_pinv = np.linalg.pinv(wh @ r[:, dom], rcond=1e-10)
+    return [wh @ rho @ s_pinv for rho in rhos[:, :, dom]]
 
 
 @dataclass(frozen=True)
@@ -430,8 +437,8 @@ def build_gns(
     the left-ideal check passes and ``max_len >= 2``.
 
     ``max_len`` defaults to ``default_max_len(state.algebra)``, at least 1.
-    The forward vectors ``R`` are evaluated once; the Gram matrix is
-    ``R^dagger R`` and the null-space split comes from ``R`` (``_split``).
+    One ``letter_vectors`` pass gives ``R`` and the letter products that every
+    stage reads; ``G`` is ``R^dagger R`` and the split comes from ``R`` (``_split``).
     ``tol`` is both the relative null-space cutoff and the left-ideal
     tolerance.  Refuses up front a ``tol`` that is not a finite number in
     (0, 1), a ``max_len`` that leaves the representation domain empty, and
@@ -448,18 +455,17 @@ def build_gns(
             "(words of length <= max_len - 1) empty"
         )
     basis = WordBasis.build(state.algebra, max_len)
-    r = state.forward_vectors(basis.words)
+    letters = list(state.algebra.generator_letters())
+    r, rhos = state.letter_vectors(letters, basis.words)
     g = r.conj().T @ r
     ns = _split(r, tol)
-    report = check_left_ideal(state, basis, ns)
+    dom = _domain(basis)
+    report = _left_ideal(r, rhos, dom, ns)
     letter_reps = None
     # at max_len 1 the domain is the unit word alone: the left-ideal check
     # evaluates no pair and a reconstruction compares omega(e, e) with itself
     if max_len >= 2 and report.passed(tol):
-        letter_reps = {
-            letter: represent(state, basis, ns, report, letter, tol=tol)
-            for letter in state.algebra.generator_letters()
-        }
+        letter_reps = dict(zip(letters, _letter_matrices(r, rhos, ns.quotient_basis, dom)))
     result = GnsResult(
         basis=basis,
         gram=g,

@@ -46,12 +46,13 @@ def random_word(
     algebra: FreeAlgebra,
     max_len: int,
 ) -> CanonicalWord:
-    """Random canonical word: alternating factors, random basis indices."""
+    """Random canonical word: alternating lettered factors, random basis indices."""
     length = int(rng.integers(0, max_len + 1))
+    lettered = [f for f in algebra.factor_indices if len(algebra.factor(f).basis)]
     word = []
     prev = None
     for _ in range(length):
-        choices = [f for f in algebra.factor_indices if f != prev]
+        choices = [f for f in lettered if f != prev]
         if not choices:
             break
         f = int(choices[int(rng.integers(len(choices)))])

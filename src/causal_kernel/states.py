@@ -193,25 +193,26 @@ class GeneralizedState:
 
     def letter_vectors(
         self, letters: Sequence[tuple[int, int]], words: Sequence[CanonicalWord]
-    ) -> np.ndarray:
-        """The columns ``r(b w)`` for every letter ``b`` and word ``w``, shape
-        ``(L, D, n)``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(r, acted)``: ``r`` is ``forward_vectors(words)``, shape ``(D, n)``,
+        and ``acted`` holds ``r(b w)`` per letter ``b`` and word ``w``, ``(L, D, n)``.
 
         Left multiplication by ``b`` multiplies the slot group of ``b``'s
         factor on the left by ``b``'s basis matrix and leaves the other
-        groups alone (merged or cancelled letters included, by linearity),
-        so each letter is one contraction of the words' own slot groups,
-        taken once per distinct slot signature.
+        groups alone (merged or cancelled letters included), so ``r`` and
+        each letter are one contraction of one ``slot_groups`` pass over the
+        words, taken once per distinct slot signature, unacted groups first.
         """
         specs = [self.algebra.letter_factor(f, k) for f, k in letters]
         groups, inverse = slot_groups(self.algebra, words)
-        out = []
-        for spec, (f, k) in zip(specs, letters):
+        r = self._contract(*groups)[inverse].T
+        out = np.empty((len(letters), *r.shape), dtype=complex)
+        for j, (spec, (f, k)) in enumerate(zip(specs, letters)):
             i = self.algebra.factor_indices.index(f)
             acted = list(groups)
             acted[i] = spec.basis_stack[k] @ groups[i]
-            out.append(self._contract(*acted).T)
-        return np.stack(out).take(inverse, axis=2)
+            out[j] = self._contract(*acted)[inverse].T
+        return r, out
 
     def eval_words(self, b: CanonicalWord, a: CanonicalWord) -> complex:
         """Kernel value omega(b, a) on a pair of canonical words."""

@@ -43,7 +43,8 @@ class WordMapState(GeneralizedState):
         return np.stack([self._fn(w) for w in words], axis=1)
 
     def letter_vectors(self, letters, words):
-        return joined_letter_vectors(self, letters, words)
+        return (self.forward_vectors(words),
+                joined_letter_vectors(self, letters, words))
 
 
 def joined_letter_vectors(state, letters, words):

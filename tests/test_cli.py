@@ -242,6 +242,24 @@ class TestVerify:
         assert "argument --seed" in err
         assert "Traceback" not in err
 
+    # a dimension-1 factor has no letters, so a random word never draws it:
+    # the sequential model has no letters at all, the fuzz target factors none
+    @pytest.mark.parametrize("model", [
+        {"family": "sequential", "dim": 1, "psi": [[1.0, 0.0]],
+         "unitaries": [[[[1.0, 0.0]]]]},
+        {"family": "fuzz", "dim": 1, "psi": [[0.6, 0.0], [0.8, 0.0]],
+         "branches": [{"weight": 1.0, "order": order,
+                       "unitaries": [[[[1.0, 0.0]]]] * 3}
+                      for order in ("yx", "xy")]},
+    ], ids=["sequential", "fuzz"])
+    def test_dimension_one_factor_exits_0(self, capsys, tmp_path, model):
+        path = tmp_path / "dim1.json"
+        path.write_text(json.dumps({"version": 1, **model}))
+        code, out, err = run(capsys, "verify", "--model", str(path), "--seed", "42")
+        assert code == 0
+        assert "Traceback" not in err
+        assert json.loads(out)["passed"] is True
+
     def test_impossible_tolerance_exits_1(self, capsys):
         code, out, err = run(capsys, "verify", "--model", SEQ, "--seed", "7",
                              "--tol", "1e-30")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from causal_kernel import gns, load_model
+from causal_kernel import gns, load_model, states
 from causal_kernel.algebra import FactorSpec, FreeAlgebra
 from causal_kernel.gns import (
     GnsError,
@@ -339,6 +339,65 @@ class TestSplitFromR:
         assert result.null_rank == len(result.basis) - dim
 
 
+def refuse_public_stages(monkeypatch):
+    """Make ``check_left_ideal`` and ``represent``, looked up in ``gns``,
+    fail: ``build_gns`` reads its one forward pass, not these entry points."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_gns called a public stage entry point")
+
+    monkeypatch.setattr(gns, "check_left_ideal", refuse)
+    monkeypatch.setattr(gns, "represent", refuse)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call appends to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOneForwardPass:
+    # one letter_vectors call, one slot_groups pass, gives R and the letter
+    # products; the Gram matrix, the split, the left-ideal report and the
+    # letter matrices all read those arrays
+    @pytest.mark.parametrize("path, max_len", [
+        (SWITCH, None),
+        (FUZZ, None),
+        (SUPERSPACETIME, None),
+        (SEQUENTIAL, None),
+        (SEQUENTIAL, 5),
+    ], ids=["switch", "fuzz", "superspacetime", "sequential", "sequential-L5"])
+    def test_build_gns_makes_one_slot_group_pass(self, path, max_len, monkeypatch):
+        state = load_model(path).state
+        refuse_public_stages(monkeypatch)
+        passes = count_calls(monkeypatch, states, "slot_groups")
+        evaluations = count_calls(monkeypatch, state, "letter_vectors")
+        build_gns(state, max_len)
+        assert (len(passes), len(evaluations)) == (1, 1)
+
+    @pytest.mark.parametrize("unitary", [False, True], ids=["similarity", "unitary"])
+    def test_letter_reps_equal_the_represent_entry_point(self, rng, unitary,
+                                                         monkeypatch):
+        state = representation_backed_state(rng, unitary=unitary)
+        refuse_public_stages(monkeypatch)
+        evaluations = count_calls(monkeypatch, state, "letter_vectors")
+        result = build_gns(state, max_len=2)
+        assert len(evaluations) == 1
+        basis, report = result.basis, result.left_ideal
+        ns = gns._split(state.forward_vectors(basis.words), gns.NULL_TOL)
+        assert check_left_ideal(state, basis, ns) == report
+        assert set(result.letter_reps) == set(state.algebra.generator_letters())
+        for b in state.algebra.generator_letters():
+            np.testing.assert_array_equal(result.letter_reps[b],
+                                          represent(state, basis, ns, report, b))
+
+
 def per_word_left_ideal(state, basis, ns):
     """(in-cap, unrestricted) violations by the per-letter, per-word loop
     that evaluates every product term with forward_vector."""
@@ -390,7 +449,8 @@ class TestLeftIdeal:
         state = make(rng)
         words = WordBasis.build(state.algebra, 2).words
         letters = list(state.algebra.generator_letters())
-        got = state.letter_vectors(letters, words)
+        r, got = state.letter_vectors(letters, words)
+        assert np.array_equal(r, state.forward_vectors(words))
         ref = joined_letter_vectors(state, letters, words)
         assert got.shape == ref.shape == (len(letters), ref.shape[1], len(words))
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

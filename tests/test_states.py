@@ -90,7 +90,9 @@ class TestBatchedForward:
         for m in all_models(rng):
             d = len(m.forward_vector(()))
             assert m.forward_vectors([]).shape == (d, 0)
-            assert m.letter_vectors([(m.algebra.factor_indices[0], 0)], []).shape == (1, d, 0)
+            r, acted = m.letter_vectors([(m.algebra.factor_indices[0], 0)], [])
+            assert r.shape == (d, 0)
+            assert acted.shape == (1, d, 0)
 
     def test_fill_caches_owned_batch_of_one_vectors(self, rng, monkeypatch):
         for m in all_models(rng):
@@ -134,12 +136,13 @@ class TestBatchedForward:
             letters = [(f, k) for f in m.algebra.factor_indices
                        for k in range(len(m.algebra.factor(f).basis))]
             batch = m.forward_vectors(words)
-            acted = m.letter_vectors(letters, words)
+            r, acted = m.letter_vectors(letters, words)
+            assert np.array_equal(r, batch)
             assert acted.flags.c_contiguous
             for j, w in enumerate(words):
                 assert np.array_equal(batch[:, j], m.forward_vectors([w])[:, 0])
                 assert np.array_equal(acted[:, :, j],
-                                      m.letter_vectors(letters, [w])[:, :, 0])
+                                      m.letter_vectors(letters, [w])[1][:, :, 0])
 
     def test_control_l3_basis_matches_per_word_route(self):
         # 20,629 words with 12,115 distinct signatures
@@ -151,10 +154,11 @@ class TestBatchedForward:
             assert np.array_equal(batch[:, j], m.forward_vectors([w])[:, 0])
         letters = [(f, k) for f in m.algebra.factor_indices
                    for k in range(len(m.algebra.factor(f).basis))]
-        acted = m.letter_vectors(letters, words)
+        r, acted = m.letter_vectors(letters, words)
+        assert np.array_equal(r, batch)
         for j in range(0, len(words), 97):
             assert np.array_equal(acted[:, :, j],
-                                  m.letter_vectors(letters, [words[j]])[:, :, 0])
+                                  m.letter_vectors(letters, [words[j]])[1][:, :, 0])
 
     def test_foreign_letter_raises(self, rng):
         m = random_sequential(rng)
