@@ -217,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configure_logging() -> None:
     level_name = os.environ.get("CAUSAL_KERNEL_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    level = getattr(logging, level_name, None)
+    # an attribute that is not a level, such as BASIC_FORMAT, is an unknown name
+    if not isinstance(level, int):
+        level = logging.WARNING
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(name)s %(levelname)s: %(message)s")
 

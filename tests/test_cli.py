@@ -599,6 +599,18 @@ class TestLogLevel:
             "causal_kernel INFO: loaded sequential model over factors (1, 2)",
         ] + quiet.stderr.splitlines()
 
+    # logging.BASIC_FORMAT is a string, not a level: like an unknown name,
+    # it leaves the default level
+    @pytest.mark.parametrize("value", ["basic_format", "BASIC_FORMAT", "no-such-level"])
+    def test_a_name_that_is_not_a_level_is_warning(self, value):
+        argv = ["gns", "--max-len", "2", "--model", "models/sequential_qubit.json"]
+        quiet = _cli_process(argv)
+        named = _cli_process(argv, CAUSAL_KERNEL_LOG=value)
+        assert quiet.returncode == named.returncode == 0
+        assert named.stdout == quiet.stdout != ""
+        assert "Traceback" not in named.stderr
+        assert named.stderr == quiet.stderr
+
 
 def _readme_commands():
     """The ``causal-kernel`` lines of README's ``## Command line`` block,

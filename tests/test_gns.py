@@ -365,7 +365,9 @@ def count_calls(monkeypatch, owner, name):
 class TestOneForwardPass:
     # one letter_vectors call, one slot_groups pass, gives R and the letter
     # products; the Gram matrix, the split, the left-ideal report and the
-    # letter matrices all read those arrays
+    # letter matrices all read those arrays.  R is one contraction and every
+    # letter product reads one set of environments: no letter contracts the
+    # family again
     @pytest.mark.parametrize("path, max_len", [
         (SWITCH, None),
         (FUZZ, None),
@@ -378,8 +380,11 @@ class TestOneForwardPass:
         refuse_public_stages(monkeypatch)
         passes = count_calls(monkeypatch, states, "slot_groups")
         evaluations = count_calls(monkeypatch, state, "letter_vectors")
+        contractions = count_calls(monkeypatch, state, "_contract")
+        environments = count_calls(monkeypatch, state, "_environments")
         build_gns(state, max_len)
         assert (len(passes), len(evaluations)) == (1, 1)
+        assert (len(contractions), len(environments)) == (1, 1)
 
     @pytest.mark.parametrize("unitary", [False, True], ids=["similarity", "unitary"])
     def test_letter_reps_equal_the_represent_entry_point(self, rng, unitary,

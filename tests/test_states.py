@@ -29,12 +29,12 @@ from causal_kernel.states import (
     SwitchModel,
     slot_groups,
 )
-from causal_kernel.gns import build_gns, report_obj
+from causal_kernel.gns import WordBasis, build_gns, report_obj
 from causal_kernel.models import load_model
 from causal_kernel.oracle import state_kernel_bruteforce
 from causal_kernel.verify import verify_state
 
-from conftest import I2, SWITCH_NAMES, SX, SY, SZ
+from conftest import I2, SWITCH_NAMES, SX, SY, SZ, joined_letter_vectors
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -166,6 +166,38 @@ class TestBatchedForward:
             m.forward_vectors([(), ((3, 0),)])
         with pytest.raises(UnknownFactorError):
             m.forward_vector(((1, 0), (3, 0)))
+
+
+# shapes the committed models do not have: middle sequential slots, with both
+# a prefix and a suffix; three branches of mixed orders and weights; dimension 3
+UNCOMMITTED_SHAPES = [
+    pytest.param(lambda rng: random_sequential(rng, 2, 3), 2, id="sequential-d2-3-slots"),
+    pytest.param(lambda rng: random_sequential(rng, 3, 4), 2, id="sequential-d3-4-slots"),
+    pytest.param(lambda rng: random_fuzz(rng, 2, 3), 2, id="fuzz-d2-3-branches"),
+    pytest.param(lambda rng: random_superspacetime(rng, 2, 3), 2,
+                 id="superspacetime-d2-3-branches"),
+    pytest.param(lambda rng: random_fuzz(rng, 3, 3), 1, id="fuzz-d3-3-branches"),
+    pytest.param(lambda rng: random_switch(rng, 3), 1, id="switch-d3"),
+]
+
+
+@pytest.mark.parametrize("make, max_len", UNCOMMITTED_SHAPES)
+def test_letter_vectors_on_uncommitted_shapes(rng, make, max_len):
+    """Each family's environments against the word join, and every 11th
+    column against its batch of one, bit for bit."""
+    m = make(rng)
+    if max_len == 2 and isinstance(m, FuzzModel):
+        assert {br.order for br in m.branches} == {"yx", "xy"}
+    words = WordBasis.build(m.algebra, max_len).words
+    letters = list(m.algebra.generator_letters())
+    r, acted = m.letter_vectors(letters, words)
+    assert np.array_equal(r, m.forward_vectors(words))
+    ref = joined_letter_vectors(m, letters, words)
+    assert acted.shape == ref.shape
+    assert np.max(np.abs(acted - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for j in range(0, len(words), 11):
+        assert np.array_equal(acted[:, :, j],
+                              m.letter_vectors(letters, [words[j]])[1][:, :, 0])
 
 
 BAD_LETTERS = [
